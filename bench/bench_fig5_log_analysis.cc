@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   }
   ctcore::Executor::Execute(*run, nullptr);
   if (observer != nullptr) {
-    observer->AbsorbRun(0, run->context().observer());
+    observer->AbsorbRun(0, std::move(run->context().observer()));
   }
   const auto& instances = run->cluster().logs().instances();
 

@@ -3,31 +3,36 @@
 // campaign.
 //
 // Runs the full CrashTuner driver over mini-ZooKeeper at --scale (default 8)
-// twice — observation off, then observation on (jobs=4 both times) — and
-// checks:
+// in kTrials interleaved pairs — observation off and observation on (jobs=4
+// both times), alternating which side of the pair runs first — and checks:
 //
-//   1. Passivity: the two SystemReports serialize byte-identically and carry
+//   1. Passivity: every SystemReport serializes byte-identically and carries
 //      the same campaign trace hash. Flow stamping, span recording and
 //      dossier capture must not perturb a single event.
 //   2. Dwell attribution: the quorum-broadcast component span absorbs >= 50%
 //      of the campaign's virtual time (ZooKeeper's only component sweep is
 //      the peer-heartbeat fan-out, and scaled quorums spend their lives
-//      gossiping — ROADMAP item 1b's superlinear chatter made visible).
+//      gossiping — the all-to-all peer chatter made visible).
 //   3. Flows: deliveries were recorded, a majority resolve to an originating
 //      span, and causal chains actually nest (max depth >= 2).
 //   4. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5
 //      lists no new ZooKeeper bugs) must emit one dossier per bug-verdict
 //      injection, each round-tripping through the crashtuner-dossier-v1
 //      reader unchanged.
-//   5. Overhead: the observed campaign's wall time stays within 10% of the
-//      unobserved one. Like the other wall-clock bars this is enforced only
-//      on >= 4 hardware threads (CRASHTUNER_ENFORCE_SPEEDUP=1/0 overrides).
+//   5. Overhead: the median observed campaign wall time stays within 10% of
+//      the median unobserved one. A single pair is noise-bound (a 0.1-0.2 s
+//      campaign on a shared host reads anywhere from -35% to +75%), so the
+//      bar compares medians of interleaved trials and the per-pair spread is
+//      reported beside it. Like the other wall-clock bars this is enforced
+//      only on >= 4 hardware threads (CRASHTUNER_ENFORCE_SPEEDUP=1/0
+//      overrides).
 //
 //   bench_obs_flows [--jobs N] [--json FILE] [--metrics-out FILE]
 //                   [--trace-out FILE] [--dossier-dir DIR] [SCALE]
 //
 // Writes BENCH_obs_flows.json (or --json FILE). Exit status is the number of
 // violated criteria.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -41,8 +46,28 @@
 
 namespace {
 
+// Off/on pairs behind the overhead bar; odd, so every median is a sample.
+constexpr int kTrials = 15;
+
 double Wall(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// Linear-interpolated quantile, q in [0, 1].
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+// Wall-clock timings are the one legitimately nondeterministic part of a
+// report; zero them before byte comparison like the determinism tests do.
+std::string Canonical(ctcore::SystemReport report) {
+  report.analysis_wall_seconds = 0;
+  report.test_wall_seconds = 0;
+  return ctcore::ReportToJson(report);
 }
 
 }  // namespace
@@ -63,50 +88,65 @@ int main(int argc, char** argv) {
   ctbench::PrintHeader("Observability at scale: flows, dwell profile, dossiers");
   std::printf("zookeeper @ scale %d, jobs=%d\n", scale, jobs);
 
-  // Pass 1: observation off. This is the baseline both for passivity (the
-  // report must not change) and for the tracing-overhead bar.
-  ctzk::ZkSystem baseline_system;
-  baseline_system.set_scale(scale);
-  (void)baseline_system.model();
-  ctcore::DriverOptions off_options;
-  off_options.jobs = jobs;
-  const auto off_start = std::chrono::steady_clock::now();
-  const ctcore::SystemReport report_off =
-      ctcore::CrashTunerDriver().Run(baseline_system, off_options);
-  const double off_wall = Wall(off_start);
-
-  // Pass 2: observation on — spans, flows, and dossiers all recording.
-  ctzk::ZkSystem observed_system;
-  observed_system.set_scale(scale);
+  // One model for every trial, built outside the timed region.
+  ctzk::ZkSystem system;
+  system.set_scale(scale);
+  (void)system.model();
   ctbench::BenchObservation observation(flags);
   ctobs::CampaignObserver local_observer;
-  ctcore::DriverOptions on_options;
-  on_options.jobs = jobs;
+  // The first observed trial feeds the dwell, flow and file-output checks;
+  // later trials observe into throwaway observers.
   ctobs::CampaignObserver* observer = observation.enabled()
                                           ? observation.ObserverFor("zookeeper-obs")
                                           : &local_observer;
-  on_options.observer = observer;
-  const auto on_start = std::chrono::steady_clock::now();
-  const ctcore::SystemReport report_on =
-      ctcore::CrashTunerDriver().Run(observed_system, on_options);
-  const double on_wall = Wall(on_start);
+  auto run = [&system, jobs](ctobs::CampaignObserver* run_observer, double* wall) {
+    ctcore::DriverOptions options;
+    options.jobs = jobs;
+    options.observer = run_observer;
+    const auto start = std::chrono::steady_clock::now();
+    ctcore::SystemReport report = ctcore::CrashTunerDriver().Run(system, options);
+    *wall = Wall(start);
+    return report;
+  };
+
+  std::vector<double> off_walls;
+  std::vector<double> on_walls;
+  std::string reference_report;
+  uint64_t reference_hash = 0;
+  uint64_t observed_hash = 0;
+  bool reports_identical = true;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    ctobs::CampaignObserver trial_observer;
+    ctobs::CampaignObserver* on_observer = trial == 0 ? observer : &trial_observer;
+    // Alternate the order inside the pair so host-speed drift and warm-up
+    // land on both sides equally.
+    const bool off_first = trial % 2 == 0;
+    for (int side = 0; side < 2; ++side) {
+      const bool observed = (side == 1) == off_first;
+      double wall = 0;
+      const ctcore::SystemReport report = run(observed ? on_observer : nullptr, &wall);
+      (observed ? on_walls : off_walls).push_back(wall);
+      // 1. Passivity: every report of every trial, observed or not, must
+      // equal the first one.
+      const std::string canonical = Canonical(report);
+      if (reference_report.empty()) {
+        reference_report = canonical;
+        reference_hash = report.trace_hash;
+      }
+      if (observed && trial == 0) {
+        observed_hash = report.trace_hash;
+      }
+      reports_identical = reports_identical && canonical == reference_report &&
+                          report.trace_hash == reference_hash;
+    }
+  }
 
   int failures = 0;
 
-  // 1. Passivity. Wall-clock timings are the one legitimately nondeterministic
-  // part of a report; zero them before the byte comparison like the
-  // determinism tests do.
-  ctcore::SystemReport off_copy = report_off;
-  ctcore::SystemReport on_copy = report_on;
-  off_copy.analysis_wall_seconds = on_copy.analysis_wall_seconds = 0;
-  off_copy.test_wall_seconds = on_copy.test_wall_seconds = 0;
-  const bool reports_identical =
-      ctcore::ReportToJson(off_copy) == ctcore::ReportToJson(on_copy) &&
-      report_off.trace_hash == report_on.trace_hash;
-  std::printf("passivity: reports %s (trace hash %016llx vs %016llx)\n",
+  std::printf("passivity: %d reports %s (trace hash %016llx vs %016llx)\n", 2 * kTrials,
               reports_identical ? "byte-identical" : "DIVERGED",
-              static_cast<unsigned long long>(report_off.trace_hash),
-              static_cast<unsigned long long>(report_on.trace_hash));
+              static_cast<unsigned long long>(reference_hash),
+              static_cast<unsigned long long>(observed_hash));
   failures += reports_identical ? 0 : 1;
 
   // Finalize() the observer copy we keep for assertions. BenchObservation
@@ -183,14 +223,27 @@ int main(int argc, char** argv) {
       dossiers.size(), bug_runs, roundtrip_failures, dossiers_ok ? "ok" : "FAIL");
   failures += dossiers_ok ? 0 : 1;
 
-  // 5. Overhead.
+  // 5. Overhead: medians of the interleaved trials; the per-pair ratios
+  // show the spread a single sample would have been drawn from.
+  const double off_wall = Quantile(off_walls, 0.5);
+  const double on_wall = Quantile(on_walls, 0.5);
   const double overhead = off_wall > 0 ? (on_wall - off_wall) / off_wall : 0.0;
+  std::vector<double> pair_overheads;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    pair_overheads.push_back(on_walls[trial] / off_walls[trial] - 1.0);
+  }
+  const double pair_min = Quantile(pair_overheads, 0.0);
+  const double pair_q1 = Quantile(pair_overheads, 0.25);
+  const double pair_q3 = Quantile(pair_overheads, 0.75);
+  const double pair_max = Quantile(pair_overheads, 1.0);
   const int hardware_threads = ctcore::ResolveJobs(0);
   const bool enforce_overhead = ctbench::EnforceSpeedupBar(hardware_threads);
-  std::printf("overhead: %.3fs observed vs %.3fs baseline (%+.1f%%, bar <= 10%%, %s on %d "
-              "hardware thread(s))\n",
-              on_wall, off_wall, 100.0 * overhead,
+  std::printf("overhead: median %.3fs observed vs %.3fs baseline over %d interleaved pairs "
+              "(%+.1f%%, bar <= 10%%, %s on %d hardware thread(s))\n",
+              on_wall, off_wall, kTrials, 100.0 * overhead,
               enforce_overhead ? "enforced" : "not enforced", hardware_threads);
+  std::printf("overhead spread per pair: min %+.1f%%, q1 %+.1f%%, q3 %+.1f%%, max %+.1f%%\n",
+              100.0 * pair_min, 100.0 * pair_q1, 100.0 * pair_q3, 100.0 * pair_max);
   failures += enforce_overhead && overhead > 0.10 ? 1 : 0;
 
   if (observation.enabled() && !observation.Write()) {
@@ -202,9 +255,14 @@ int main(int argc, char** argv) {
   json << "{\n  \"schema\": \"crashtuner-bench-obs-flows-v1\",\n";
   json << "  \"system\": \"zookeeper\",\n";
   json << "  \"scale\": " << scale << ",\n  \"jobs\": " << jobs << ",\n";
+  json << "  \"trials\": " << kTrials << ",\n";
   json << "  \"baseline_wall_seconds\": " << off_wall << ",\n";
   json << "  \"observed_wall_seconds\": " << on_wall << ",\n";
   json << "  \"overhead\": " << overhead << ",\n";
+  json << "  \"overhead_pair_min\": " << pair_min << ",\n";
+  json << "  \"overhead_pair_q1\": " << pair_q1 << ",\n";
+  json << "  \"overhead_pair_q3\": " << pair_q3 << ",\n";
+  json << "  \"overhead_pair_max\": " << pair_max << ",\n";
   json << "  \"overhead_bar_enforced\": " << (enforce_overhead ? "true" : "false") << ",\n";
   json << "  \"reports_identical\": " << (reports_identical ? "true" : "false") << ",\n";
   json << "  \"total_virtual_ms\": " << total_virtual_ms << ",\n";

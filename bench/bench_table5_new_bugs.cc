@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       }
       std::string id = bug.bug_id;
       if (bug.exposing_points.size() > 1) {
-        id += "(" + std::to_string(bug.exposing_points.size()) + ")";
+        id.append("(").append(std::to_string(bug.exposing_points.size())).append(")");
       }
       std::printf("%-13s %-9s %-11s %-12s %-55s %s\n", id.c_str(), bug.priority.c_str(),
                   bug.scenario.c_str(), bug.status.c_str(), bug.symptom.c_str(),

@@ -96,7 +96,8 @@ std::string EquivalenceAnalysis::DeclComponents(const ctmodel::AccessPointDecl& 
   std::string window = "-";
   for (const auto& decl : model_->network_fault_windows()) {
     if (decl.point == point.id) {
-      window = "w" + std::to_string(decl.partition_ms) + ":" + decl.bug_id;
+      window = "w";
+      window.append(std::to_string(decl.partition_ms)).append(":").append(decl.bug_id);
       break;
     }
   }

@@ -49,15 +49,8 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
         [observer] { return observer->current_span_id(); },
         [observer, &loop](uint64_t flow_id, uint64_t parent_flow, uint64_t origin_span,
                           const ctsim::Message& message) {
-          ctobs::FlowRecord record;
-          record.id = flow_id;
-          record.parent = parent_flow;
-          record.origin_span = origin_span;
-          record.method = message.method.str();
-          record.from = message.from.str();
-          record.to = message.to.str();
-          record.sim_ms = loop.Now();
-          observer->flows().Record(std::move(record));
+          observer->flows().Record(flow_id, parent_flow, origin_span, message.method.str(),
+                                   message.from.str(), message.to.str(), loop.Now());
         });
   }
   {

@@ -155,13 +155,13 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
 
   RunRecord record;
   record.keys = HarvestCoverage(run->context().tracer());
-  record.trace_hash = recorder.trace().Hash();
+  record.trace_hash = recorder.hash();
   record.is_bug = outcome.IsBug();
   if (observer != nullptr && slot >= 0) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
     metrics.Add("fuzz.ops", workload.ops.size());
-    metrics.Add("trace.events", recorder.trace().size());
-    observer->AbsorbRun(slot, *run_observer);
+    metrics.Add("trace.events", recorder.events());
+    observer->AbsorbRun(slot, std::move(*run_observer));
   }
   return record;
 }

@@ -17,8 +17,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,25 +46,33 @@ class FlowRecorder {
  public:
   static constexpr size_t kMaxRecords = 4096;
 
-  void Record(FlowRecord record) {
+  // Counts one delivery. The raw record, and the copies of its strings, is
+  // built only while the run is under the kMaxRecords cap.
+  void Record(uint64_t id, uint64_t parent, uint64_t origin_span, std::string_view method,
+              std::string_view from, std::string_view to, uint64_t sim_ms) {
     ++messages_;
-    if (record.parent == 0) {
+    if (parent == 0) {
       ++roots_;
     }
-    if (record.origin_span != 0) {
+    if (origin_span != 0) {
       ++span_resolved_;
     }
     // Flow ids are allocated sequentially from 1 and a parent is always
     // delivered before its children, so depth is a single lookup.
     uint32_t depth = 1;
-    if (record.parent != 0 && record.parent <= depth_by_id_.size()) {
-      depth = depth_by_id_[record.parent - 1] + 1;
+    if (parent != 0 && parent <= depth_by_id_.size()) {
+      depth = depth_by_id_[parent - 1] + 1;
     }
     depth_by_id_.push_back(depth);
     max_depth_ = std::max<uint64_t>(max_depth_, depth);
-    ++per_method_[record.method];
+    auto counted = per_method_.find(method);
+    if (counted == per_method_.end()) {
+      counted = per_method_.emplace(std::string(method), 0).first;
+    }
+    ++counted->second;
     if (records_.size() < kMaxRecords) {
-      records_.push_back(std::move(record));
+      records_.push_back(FlowRecord{id, parent, origin_span, std::string(method),
+                                    std::string(from), std::string(to), sim_ms});
     } else {
       ++dropped_;
     }
@@ -74,7 +84,8 @@ class FlowRecorder {
   uint64_t span_resolved() const { return span_resolved_; }
   uint64_t max_depth() const { return max_depth_; }
   uint64_t dropped() const { return dropped_; }
-  const std::map<std::string, uint64_t>& per_method() const { return per_method_; }
+  // Deliveries per RPC method, by method name.
+  const std::map<std::string, uint64_t, std::less<>>& per_method() const { return per_method_; }
 
   // Depth of a delivered flow id (roots are depth 1); 0 for unknown ids.
   uint64_t DepthOf(uint64_t id) const {
@@ -89,7 +100,8 @@ class FlowRecorder {
  private:
   std::vector<FlowRecord> records_;
   std::vector<uint32_t> depth_by_id_;
-  std::map<std::string, uint64_t> per_method_;
+  // Transparent comparator: counting an already-seen method allocates nothing.
+  std::map<std::string, uint64_t, std::less<>> per_method_;
   uint64_t messages_ = 0;
   uint64_t roots_ = 0;
   uint64_t span_resolved_ = 0;

@@ -10,48 +10,57 @@ namespace ctobs {
 void RunObserver::BeginSpan(SpanEvent* event) {
   event->id = ++next_span_id_;
   event->parent_id = open_spans_.empty() ? 0 : open_spans_.back().id;
-  std::string path =
-      open_spans_.empty() ? event->name : open_spans_.back().path + "/" + event->name;
+  open_spans_.push_back(OpenSpan{event->id, open_path_.size()});
+  if (open_spans_.size() > 1) {
+    open_path_ += '/';
+  }
+  open_path_ += event->name;
   if (!event->component.empty()) {
     // Charge all virtual time since the previous component-span open to this
     // component: the dwell totals partition the run's clock advance across
     // the instrumented sweeps, deterministically.
     const uint64_t now = event->sim_begin_ms;
     const uint64_t delta = now >= last_dwell_mark_ms_ ? now - last_dwell_mark_ms_ : 0;
-    metrics_.Add("component." + event->name + ".dwell_ms", delta);
-    metrics_.Add("component." + event->name + ".events");
+    const size_t prefix = counter_key_.assign("component.").append(event->name).size();
+    metrics_.Add(counter_key_.append(".dwell_ms"), delta);
+    counter_key_.resize(prefix);
+    metrics_.Add(counter_key_.append(".events"));
     last_dwell_mark_ms_ = now;
   }
-  open_spans_.push_back(OpenSpan{event->id, std::move(path)});
 }
 
 void RunObserver::EndSpan(SpanEvent event) {
-  std::string path = event.name;
+  SpanAggregate* aggregate = nullptr;
   if (!open_spans_.empty() && open_spans_.back().id == event.id) {
-    path = std::move(open_spans_.back().path);
+    aggregate = &span_tree_[open_path_];
+    open_path_.resize(open_spans_.back().parent_path_size);
     open_spans_.pop_back();
+  } else {
+    aggregate = &span_tree_[event.name];
   }
-  SpanAggregate& aggregate = span_tree_[path];
-  if (aggregate.count == 0) {
-    aggregate.name = event.name;
-    aggregate.component = event.component;
+  if (aggregate->count == 0) {
+    aggregate->name = event.name;
+    aggregate->component = event.component;
   }
-  ++aggregate.count;
-  aggregate.sim_ms += event.sim_duration_ms();
+  ++aggregate->count;
+  aggregate->sim_ms += event.sim_duration_ms();
   spans_.Append(std::move(event));
 }
 
-void CampaignObserver::AbsorbRun(int slot, const RunObserver& run) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsShard shard = run.metrics();
+void CampaignObserver::AbsorbRun(int slot, RunObserver&& run) {
+  // The run is retiring: move its state out before taking the lock, so
+  // concurrent workers serialize on a handful of map inserts, not copies.
+  MetricsShard shard = std::move(run.metrics());
   if (run.spans().dropped() > 0) {
     shard.Add("spans.dropped", run.spans().dropped());
   }
+  std::vector<SpanEvent> spans = std::move(run.spans()).TakeEvents();
+  std::lock_guard<std::mutex> lock(mu_);
   registry_.shard(slot) = std::move(shard);
-  spans_by_slot_[slot] = run.spans().events();
+  spans_by_slot_[slot] = std::move(spans);
   span_tree_by_slot_[slot] = run.span_tree();
   if (!run.flows().empty()) {
-    flows_by_slot_[slot] = run.flows();
+    flows_by_slot_[slot] = std::move(run.flows());
   }
 }
 

@@ -71,7 +71,7 @@ class RunObserver {
  private:
   struct OpenSpan {
     uint64_t id = 0;
-    std::string path;
+    size_t parent_path_size = 0;  // open_path_.size() before this span opened
   };
 
   bool enabled_ = false;
@@ -81,6 +81,11 @@ class RunObserver {
   uint64_t next_span_id_ = 0;
   uint64_t last_dwell_mark_ms_ = 0;
   std::vector<OpenSpan> open_spans_;
+  // '/'-joined names of the open spans: the innermost one's span_tree_ key.
+  // It and counter_key_ are reused buffers, so a span whose path and
+  // counters already exist allocates no strings.
+  std::string open_path_;
+  std::string counter_key_;  // component.<name>.{dwell_ms,events}
   std::map<std::string, SpanAggregate> span_tree_;
 };
 
@@ -93,9 +98,9 @@ class CampaignObserver {
  public:
   CampaignObserver() { driver_observer_.Enable(); }
 
-  // Stores the run's shard, spans, span tree and flows under `slot` (the
-  // injection index).
-  void AbsorbRun(int slot, const RunObserver& run);
+  // Moves the retiring run's shard, spans and flows in, and copies its span
+  // tree, under `slot` (the injection index).
+  void AbsorbRun(int slot, RunObserver&& run);
 
   // Stores a failing run's dossier under its slot.
   void AbsorbDossier(int slot, Dossier dossier);

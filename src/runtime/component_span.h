@@ -13,6 +13,7 @@
 #define SRC_RUNTIME_COMPONENT_SPAN_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/obs/span.h"
 #include "src/runtime/run_context.h"
@@ -21,9 +22,8 @@ namespace ctrt {
 
 class ComponentSpan {
  public:
-  ComponentSpan(const ctsim::EventLoop* loop, std::string name, std::string component)
-      : span_(&RunContext::Current().observer(), loop, std::move(name), "component",
-              std::move(component)) {}
+  ComponentSpan(const ctsim::EventLoop* loop, std::string_view name, std::string_view component)
+      : span_(&RunContext::Current().observer(), loop, name, "component", component) {}
 
   void AddArg(std::string key, std::string value) {
     span_.AddArg(std::move(key), std::move(value));

@@ -51,10 +51,10 @@ void Node::Dispatch(const Message& message) {
     log().Warn("No handler for RPC {}", {message.method}, "Node.dispatch");
     return;
   }
-  RunGuarded(message.method, [&] { it->second(message); });
+  RunGuarded(message.method.str(), [&] { it->second(message); });
 }
 
-void Node::RunGuarded(const std::string& context, const std::function<void()>& fn) {
+void Node::RunGuarded(std::string_view context, const std::function<void()>& fn) {
   // Timer and async events execute in this node's context; the trigger reads
   // cluster().current_node() to know which process a hook fired on.
   const NodeId previous = cluster_->current_node_;
@@ -68,7 +68,7 @@ void Node::RunGuarded(const std::string& context, const std::function<void()>& f
     fn();
   } catch (const SimException& e) {
     log().Error("Uncommon exception {} : {}", {e.type, e.message}, "Node.dispatch");
-    OnHandlerException(context, e);
+    OnHandlerException(std::string(context), e);
   } catch (const NodeCrashedSignal&) {
     // The node died mid-handler (post-write crash injection); the remainder
     // of the handler is simply gone, like the rest of a killed JVM.
@@ -80,14 +80,18 @@ void Node::Handle(const std::string& method, std::function<void(const Message&)>
 }
 
 void Node::Send(const std::string& to, const std::string& method, KvList args) {
-  Send(cluster_->Intern(to), method, std::move(args));
+  Send(cluster_->Intern(to), cluster_->Intern(method), std::move(args));
 }
 
 void Node::Send(NodeId to, const std::string& method, KvList args) {
+  Send(to, cluster_->Intern(method), std::move(args));
+}
+
+void Node::Send(NodeId to, Symbol method, KvList args) {
   Message message;
   message.from = sym_;
   message.to = to;
-  message.method = cluster_->Intern(method);
+  message.method = method;
   for (auto& kv : args) {
     message.args.Set(cluster_->Intern(kv.first), std::move(kv.second));
   }
@@ -109,15 +113,18 @@ void Node::After(Time delay, std::function<void()> fn) {
 }
 
 void Node::Every(Time period, std::function<void()> fn) {
-  auto shared = std::make_shared<std::function<void()>>(std::move(fn));
+  ScheduleTick(period, std::make_shared<std::function<void()>>(std::move(fn)));
+}
+
+void Node::ScheduleTick(Time period, std::shared_ptr<std::function<void()>> fn) {
   // The repeating event re-arms itself; owner tagging stops it at death.
   // Each re-arm re-applies the fault plan's clock skew, so a slow node's
   // period drifts cumulatively, round after round.
-  std::function<void()> tick = [this, period, shared]() {
+  std::function<void()> tick = [this, period, fn]() {
     Cluster::FlowRootScope flow_root(cluster_);
-    RunGuarded("timer", *shared);
+    RunGuarded("timer", *fn);
     if (IsRunning()) {
-      Every(period, *shared);
+      ScheduleTick(period, fn);
     }
   };
   cluster_->loop().Schedule(cluster_->SkewedDelay(id_, period), std::move(tick), sym_);

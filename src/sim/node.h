@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -63,15 +64,19 @@ class Node {
 
   // Runs `fn` inside the same exception boundary Dispatch uses; `context`
   // names the executing component for the exception policy (timer callbacks
-  // and async-dispatcher events go through here).
-  void RunGuarded(const std::string& context, const std::function<void()>& fn);
+  // and async-dispatcher events go through here). It is copied into a string
+  // only if `fn` throws.
+  void RunGuarded(std::string_view context, const std::function<void()>& fn);
 
   // RPC handler registration.
   void Handle(const std::string& method, std::function<void(const Message&)> handler);
 
-  // Sends an RPC to another node via the cluster network.
-  void Send(const std::string& to, const std::string& method, KvList args = {});
+  // Sends an RPC to another node via the cluster network. Hot senders
+  // (heartbeats, gossip, peer fan-out) pass a method symbol interned once at
+  // construction; the string forms intern per call and suit cold paths.
+  void Send(NodeId to, Symbol method, KvList args = {});
   void Send(NodeId to, const std::string& method, KvList args = {});
+  void Send(const std::string& to, const std::string& method, KvList args = {});
 
   // Timers owned by this node; they do not fire once the node is dead.
   void After(Time delay, std::function<void()> fn);
@@ -114,6 +119,9 @@ class Node {
 
  private:
   friend class Cluster;
+
+  // Schedules the next tick of an Every timer; every re-arm shares `fn`.
+  void ScheduleTick(Time period, std::shared_ptr<std::function<void()>> fn);
 
   Cluster* cluster_;
   std::string id_;

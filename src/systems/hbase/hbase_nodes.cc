@@ -340,7 +340,8 @@ RegionServer::RegionServer(ctsim::Cluster* cluster, std::string id, std::string 
                            const HBaseConfig* config)
     : Node(cluster, std::move(id)),
       master_(std::move(master)),
-      zk_(std::move(zk)),
+      zk_(cluster->Intern(zk)),
+      session_heartbeat_method_(cluster->Intern("sessionHeartbeat")),
       artifacts_(artifacts),
       config_(config) {
   Handle("getServerInfo", [this](const Message& m) {
@@ -377,7 +378,7 @@ void RegionServer::OnStart() {
   After(config_->rs_zk_register_ms, [this] {
     zk_registered_ = true;
     Send(zk_, "createEphemeral", {{"path", "/hbase/rs/" + this->id()}});
-    Every(config_->session_heartbeat_ms, [this] { Send(zk_, "sessionHeartbeat", {}); });
+    Every(config_->session_heartbeat_ms, [this] { Send(zk_, session_heartbeat_method_); });
   });
 }
 

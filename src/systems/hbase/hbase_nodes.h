@@ -111,7 +111,8 @@ class RegionServer : public ctsim::Node {
   void OpenRegion(const ctsim::Message& m);
 
   std::string master_;
-  std::string zk_;
+  ctsim::NodeId zk_;
+  ctsim::Symbol session_heartbeat_method_;
   const HBaseArtifacts* artifacts_;
   const HBaseConfig* config_;
   bool init_done_ = false;

@@ -21,7 +21,8 @@ constexpr ctsim::Time kRemovalRaceWindowMs = 1200;
 NameNode::NameNode(ctsim::Cluster* cluster, std::string id, std::string peer, bool active,
                    const HdfsArtifacts* artifacts, const HdfsConfig* config, Journal* journal)
     : Node(cluster, std::move(id)),
-      peer_(std::move(peer)),
+      peer_(cluster->Intern(peer)),
+      nn_heartbeat_method_(cluster->Intern("nnHeartbeat")),
       active_(active),
       artifacts_(artifacts),
       config_(config),
@@ -59,7 +60,7 @@ void NameNode::OnStart() {
     Every(config_->nn_peer_heartbeat_ms, [this] {
       ctrt::ComponentSpan sweep(&this->cluster().loop(), "nn.ha-heartbeat", "FSNamesystem");
       if (active_) {
-        Send(peer_, "nnHeartbeat", {});
+        Send(peer_, nn_heartbeat_method_);
       }
     });
   } else {
@@ -238,14 +239,17 @@ void NameNode::Promote() {
 
 DataNode::DataNode(ctsim::Cluster* cluster, std::string id, std::string nn,
                    const HdfsArtifacts* artifacts, const HdfsConfig* config)
-    : Node(cluster, std::move(id)), current_nn_(std::move(nn)), artifacts_(artifacts),
+    : Node(cluster, std::move(id)),
+      current_nn_(cluster->Intern(nn)),
+      dn_heartbeat_method_(cluster->Intern("dnHeartbeat")),
+      artifacts_(artifacts),
       config_(config) {
   Handle("registerAck", [this](const Message& m) {
     registered_ = true;
     log().Log(artifacts_->stmts.bp_registered, {m.Arg("bp"), this->id()});
   });
   Handle("newActive", [this](const Message& m) {
-    current_nn_ = m.Arg("nn");
+    current_nn_ = this->cluster().Intern(m.Arg("nn"));
     Send(current_nn_, "registerDatanode", {{"dn", this->id()}, {"host", host()}});
   });
   Handle("writeBlock", [this](const Message& m) {
@@ -272,7 +276,8 @@ DataNode::DataNode(ctsim::Cluster* cluster, std::string id, std::string nn,
 
 void DataNode::OnStart() {
   After(200, [this] { Send(current_nn_, "registerDatanode", {{"dn", id()}, {"host", host()}}); });
-  Every(config_->heartbeat_ms, [this] { Send(current_nn_, "dnHeartbeat", {{"dn", id()}}); });
+  Every(config_->heartbeat_ms,
+        [this] { Send(current_nn_, dn_heartbeat_method_, {{"dn", id()}}); });
   Every(config_->block_report_ms, [this] { BlockReport(); });
 }
 

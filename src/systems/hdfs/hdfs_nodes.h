@@ -52,7 +52,8 @@ class NameNode : public ctsim::Node {
   // HDFS-14216 window. Throws when the node vanished during the wait.
   void CheckDatanodeLive(const std::string& dn, int point_id);
 
-  std::string peer_;
+  ctsim::NodeId peer_;
+  ctsim::Symbol nn_heartbeat_method_;
   bool active_;
   const HdfsArtifacts* artifacts_;
   const HdfsConfig* config_;
@@ -93,7 +94,8 @@ class DataNode : public ctsim::Node {
  private:
   void BlockReport();
 
-  std::string current_nn_;
+  ctsim::NodeId current_nn_;
+  ctsim::Symbol dn_heartbeat_method_;
   const HdfsArtifacts* artifacts_;
   const HdfsConfig* config_;
   bool registered_ = false;  // BPOfferService.bpRegistration received

@@ -12,7 +12,9 @@ using ctsim::SimException;
 NodeManager::NodeManager(ctsim::Cluster* cluster, std::string id, std::string rm,
                          const YarnArtifacts* artifacts, const YarnConfig* config, JobState* job)
     : Node(cluster, std::move(id)),
-      rm_(std::move(rm)),
+      rm_(cluster->Intern(rm)),
+      node_heartbeat_method_(cluster->Intern("nodeHeartbeat")),
+      am_heartbeat_method_(cluster->Intern("amHeartbeat")),
       artifacts_(artifacts),
       config_(config),
       job_(job) {
@@ -55,7 +57,8 @@ NodeManager::NodeManager(ctsim::Cluster* cluster, std::string id, std::string rm
 
 void NodeManager::OnStart() {
   Send(rm_, "registerNode", {{"node", id()}, {"host", host()}});
-  Every(config_->heartbeat_ms, [this] { Send(rm_, "nodeHeartbeat", {{"node", id()}}); });
+  Every(config_->heartbeat_ms,
+        [this] { Send(rm_, node_heartbeat_method_, {{"node", id()}}); });
 }
 
 void NodeManager::OnShutdown() {
@@ -119,7 +122,7 @@ void NodeManager::AmRegistered(const Message& m) {
   std::string attempt = am_->attempt;
   Every(config_->heartbeat_ms, [this, attempt] {
     if (am_ != nullptr && am_->attempt == attempt && am_->completed < am_->num_tasks) {
-      Send(rm_, "amHeartbeat", {{"app", am_->app}, {"attempt", attempt}});
+      Send(rm_, am_heartbeat_method_, {{"app", am_->app}, {"attempt", attempt}});
     }
   });
   if (am_->completed >= am_->num_tasks) {

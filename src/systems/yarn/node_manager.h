@@ -72,7 +72,9 @@ class NodeManager : public ctsim::Node {
   void SendAllocate(int task);
   void MaybeSendRelease();
 
-  std::string rm_;
+  ctsim::NodeId rm_;
+  ctsim::Symbol node_heartbeat_method_;
+  ctsim::Symbol am_heartbeat_method_;
   const YarnArtifacts* artifacts_;
   const YarnConfig* config_;
   JobState* job_;

@@ -21,10 +21,14 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
                const ZkArtifacts* artifacts, const ZkConfig* config, QuorumShared* shared)
     : Node(cluster, std::move(id)),
       myid_(myid),
-      peers_(std::move(peers)),
+      heartbeat_method_(cluster->Intern("peerHeartbeat")),
       artifacts_(artifacts),
       config_(config),
       shared_(shared) {
+  peers_.reserve(peers.size());
+  for (const auto& peer : peers) {
+    peers_.push_back(cluster->Intern(peer));
+  }
   peer_fd_ = std::make_unique<ctsim::FailureDetector>(
       this, config_->fd_timeout_ms, config_->fd_sweep_ms,
       [this](const std::string& peer) { PeerLost(peer); });
@@ -47,9 +51,10 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
       }
       // Election already reconverged: the peer is re-admitted benignly.
     }
-    alive_peers_.insert(m.from);
+    if (alive_peers_.insert(m.from).second) {
+      current_leader_ = ElectLeader();
+    }
     peer_fd_->Heartbeat(m.from);
-    current_leader_ = LeaderId();
     if (IsLeader() && !announced_leading_) {
       announced_leading_ = true;
       log().Log(artifacts_->stmts.leading, {this->id()});
@@ -78,36 +83,33 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
 }
 
 void ZkPeer::OnStart() {
-  alive_peers_.insert(id());
-  current_leader_ = LeaderId();
+  alive_peers_.insert(sym());
+  current_leader_ = ElectLeader();
   log().Log(artifacts_->stmts.peer_up, {id(), std::to_string(myid_)});
   Every(config_->gossip_ms, [this] {
-    // One quorum-broadcast round: the O(peers²) heartbeat fan-out the
-    // scale-out profiling work targets (ROADMAP item 1b).
+    // One quorum-broadcast round: every peer heartbeats every other peer.
     ctrt::ComponentSpan round(&this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
-    for (const auto& peer : peers_) {
-      if (peer != id()) {
-        Send(peer, "peerHeartbeat", {});
+    for (const ctsim::NodeId peer : peers_) {
+      if (peer != sym()) {
+        Send(peer, heartbeat_method_);
       }
     }
   });
   peer_fd_->Start();
 }
 
-std::string ZkPeer::LeaderId() const {
+ctsim::NodeId ZkPeer::ElectLeader() const {
   // Deterministic election: the highest-id live peer leads; every replica
   // holds the full state, so no data transfer is needed (the property the
   // paper credits for ZooKeeper's resilience to single crashes).
-  std::string leader;
-  for (const auto& peer : peers_) {
-    if ((peer == id() || alive_peers_.count(peer) > 0) && peer > leader) {
+  ctsim::NodeId leader;
+  for (const ctsim::NodeId peer : peers_) {
+    if ((peer == sym() || alive_peers_.count(peer) > 0) && leader < peer) {
       leader = peer;
     }
   }
   return leader;
 }
-
-bool ZkPeer::IsLeader() const { return LeaderId() == id(); }
 
 void ZkPeer::OnHandlerException(const std::string& context, const ctsim::SimException& e) {
   // Quorum-layer exceptions are logged and the peer keeps serving: the next
@@ -118,13 +120,14 @@ void ZkPeer::OnHandlerException(const std::string& context, const ctsim::SimExce
 }
 
 void ZkPeer::PeerLost(const std::string& peer) {
-  alive_peers_.erase(peer);
-  lost_peers_[peer] = this->cluster().loop().Now();
-  std::string previous = current_leader_;
-  current_leader_ = LeaderId();
+  const ctsim::NodeId lost = this->cluster().Intern(peer);
+  alive_peers_.erase(lost);
+  lost_peers_[lost] = this->cluster().loop().Now();
+  const ctsim::NodeId previous = current_leader_;
+  current_leader_ = ElectLeader();
   CT_FRAME("QuorumPeer.updateElectionVote");
   CT_POST_WRITE(artifacts_->points.quorum_member_write, peer);
-  if (current_leader_ == id() && previous != id()) {
+  if (current_leader_ == sym() && previous != sym()) {
     // Promotion: reload from the local snapshot. A torn in-flight write
     // surfaces as an EOFException the loader handles by truncation — a
     // tolerated IO fault, not a bug.
@@ -142,7 +145,7 @@ void ZkPeer::CreateRequest(const Message& m) {
   if (!IsLeader()) {
     // Forward to the leader this peer believes in.
     CT_PRE_READ(artifacts_->points.leader_ref_read, current_leader_);
-    if (!current_leader_.empty() && current_leader_ != id()) {
+    if (!current_leader_.empty() && current_leader_ != sym()) {
       CT_FRAME("FollowerRequestProcessor.processRequest");
       Send(current_leader_, "create",
            {{"path", m.Arg("path")}, {"data", m.Arg("data")}, {"client", m.Arg("client")}});
@@ -167,8 +170,8 @@ void ZkPeer::CreateRequest(const Message& m) {
   CT_IO_END(artifacts_->io.txnlog_append_io);
   ApplyCreate(m.Arg("path"), m.Arg("data"));
   pending_commits_.insert(m.Arg("path"));
-  for (const auto& peer : peers_) {
-    if (peer != id() && alive_peers_.count(peer) > 0) {
+  for (const ctsim::NodeId peer : peers_) {
+    if (peer != sym() && alive_peers_.count(peer) > 0) {
       Send(peer, "propose",
            {{"path", m.Arg("path")}, {"data", m.Arg("data")}, {"client", client}});
     }

@@ -7,6 +7,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/sim/cluster.h"
@@ -31,7 +33,13 @@ class ZkPeer : public ctsim::Node {
   ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<std::string> peers,
          const ZkArtifacts* artifacts, const ZkConfig* config, QuorumShared* shared);
 
-  bool IsLeader() const;
+  // Reads the cached election view; it is recomputed only when the set of
+  // live peers changes.
+  bool IsLeader() const { return current_leader_ == sym(); }
+  ctsim::NodeId leader() const { return current_leader_; }
+  // Brute-force election over the current live set, bypassing the cache.
+  // Tests compare it with leader() after every event.
+  ctsim::NodeId ElectLeader() const;
   const std::map<std::string, std::string>& znodes() const { return znodes_; }
 
  protected:
@@ -44,15 +52,15 @@ class ZkPeer : public ctsim::Node {
   void SyncRequest(const ctsim::Message& m);
   void ApplyCreate(const std::string& path, const std::string& data);
   void PeerLost(const std::string& peer);
-  std::string LeaderId() const;
 
   int myid_;
-  std::vector<std::string> peers_;  // all quorum members including self
+  std::vector<ctsim::NodeId> peers_;  // all quorum members including self
+  ctsim::Symbol heartbeat_method_;
   const ZkArtifacts* artifacts_;
   const ZkConfig* config_;
   QuorumShared* shared_;
 
-  std::set<std::string> alive_peers_;
+  std::unordered_set<ctsim::NodeId, ctsim::SymbolIdHash, ctsim::SymbolIdEq> alive_peers_;
   // Peers this replica already expired from its election view, by expiry
   // time. A heartbeat from one can only arrive through a healed partition
   // (a crashed peer never speaks again) — the seeded message race of
@@ -60,10 +68,11 @@ class ZkPeer : public ctsim::Node {
   // expiry triggered is still converging; later stale heartbeats re-admit
   // the peer benignly. Either way the tombstone is cleared on first
   // contact.
-  std::map<std::string, ctsim::Time> lost_peers_;
+  std::unordered_map<ctsim::NodeId, ctsim::Time, ctsim::SymbolIdHash, ctsim::SymbolIdEq>
+      lost_peers_;
   std::map<std::string, std::string> znodes_;    // DataTree.nodes (full replica)
   std::map<std::string, std::string> sessions_;  // SessionTracker.sessionsById
-  std::string current_leader_;
+  ctsim::NodeId current_leader_;
   std::set<std::string> pending_commits_;
   bool announced_leading_ = false;
   int session_counter_ = 0;

@@ -109,7 +109,7 @@ uint64_t TracedRun(const ctcore::SystemUnderTest& system, const PlannedFaults& d
   }
   cluster.InstallFaultPlan(plan);
   ctcore::Executor::Execute(*run, /*baseline=*/nullptr);
-  return recorder.trace().Hash();
+  return recorder.hash();
 }
 
 TEST(FaultPlanProperty, SameSeedAndPlanYieldTheSameTraceHash) {
@@ -212,6 +212,33 @@ TEST(FaultPlanProperty, TruncatedOrCorruptedTraceFailsLoudly) {
     replay.replay_traces = &empty;
     EXPECT_THROW(CrashTunerDriver().Run(system, replay), ctsim::TraceDivergence);
   }
+}
+
+// Parses `text` and returns the TraceDivergence message ("" if it parsed).
+std::string ParseError(const std::string& text) {
+  try {
+    ctsim::Trace::Parse(text);
+  } catch (const ctsim::TraceDivergence& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FaultPlanProperty, MalformedTimestampFailsWithTypedErrorNamingTheLine) {
+  const std::string good = "1 deliver a:1>b:1 ping\n2 timer b:1\n";
+  ASSERT_EQ(ParseError(good), "");
+  // Non-numeric, overflowing, negative (which stoull used to wrap to
+  // 2^64 - 5), signed, and partially numeric timestamps on line 3.
+  for (const std::string at :
+       {"abc", "18446744073709551616", "99999999999999999999999", "-5", "+5", "12abc", ""}) {
+    const std::string message = ParseError(good + at + " crash b:1\n");
+    EXPECT_NE(message.find("line 3"), std::string::npos) << "at=\"" << at << "\": " << message;
+  }
+  // Blank lines still count toward the reported line number.
+  EXPECT_NE(ParseError(good + "\n-1 crash b:1\n").find("line 4"), std::string::npos);
+  // The largest timestamp still parses.
+  EXPECT_EQ(ctsim::Trace::Parse("18446744073709551615 crash b:1\n").events().front().at,
+            18446744073709551615ull);
 }
 
 }  // namespace

@@ -258,22 +258,20 @@ TEST(SpanTest, RawEventCapDropsButAggregatesStayExact) {
 
 ctobs::FlowRecord MakeFlow(uint64_t id, uint64_t parent, uint64_t origin_span,
                            const std::string& method) {
-  ctobs::FlowRecord record;
-  record.id = id;
-  record.parent = parent;
-  record.origin_span = origin_span;
-  record.method = method;
-  record.from = "a";
-  record.to = "b";
-  return record;
+  return ctobs::FlowRecord{id, parent, origin_span, method, "a", "b", /*sim_ms=*/0};
+}
+
+void RecordFlow(ctobs::FlowRecorder& flows, const ctobs::FlowRecord& record) {
+  flows.Record(record.id, record.parent, record.origin_span, record.method, record.from,
+               record.to, record.sim_ms);
 }
 
 TEST(FlowRecorderTest, TracksDepthRootsAndSpanResolution) {
   ctobs::FlowRecorder flows;
-  flows.Record(MakeFlow(1, 0, 5, "gossip"));    // root, from span 5
-  flows.Record(MakeFlow(2, 1, 5, "writeRow"));  // caused by delivery 1
-  flows.Record(MakeFlow(3, 2, 0, "rowAck"));    // caused by delivery 2, no span
-  flows.Record(MakeFlow(4, 0, 0, "gossip"));    // independent root
+  RecordFlow(flows, MakeFlow(1, 0, 5, "gossip"));    // root, from span 5
+  RecordFlow(flows, MakeFlow(2, 1, 5, "writeRow"));  // caused by delivery 1
+  RecordFlow(flows, MakeFlow(3, 2, 0, "rowAck"));    // caused by delivery 2, no span
+  RecordFlow(flows, MakeFlow(4, 0, 0, "gossip"));    // independent root
   EXPECT_EQ(flows.messages(), 4u);
   EXPECT_EQ(flows.roots(), 2u);
   EXPECT_EQ(flows.span_resolved(), 2u);
@@ -291,7 +289,7 @@ TEST(FlowRecorderTest, RecordCapDropsRawRecordsButCountsExactly) {
   ctobs::FlowRecorder flows;
   const uint64_t total = ctobs::FlowRecorder::kMaxRecords + 7;
   for (uint64_t i = 1; i <= total; ++i) {
-    flows.Record(MakeFlow(i, i - 1, 0, "tick"));  // one long causal chain
+    RecordFlow(flows, MakeFlow(i, i - 1, 0, "tick"));  // one long causal chain
   }
   EXPECT_EQ(flows.records().size(), ctobs::FlowRecorder::kMaxRecords);
   EXPECT_EQ(flows.dropped(), 7u);
@@ -373,7 +371,7 @@ TEST(CampaignObserverTest, FinalizeFoldsSpansIntoPhaseHistograms) {
     ctobs::ScopedSpan span(&run, &loop, "inject:rm.register-node", "injection");
   }
   run.metrics().Add("run.count");
-  campaign.AbsorbRun(0, run);
+  campaign.AbsorbRun(0, std::move(run));
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
   EXPECT_EQ(metrics.system, "TestSys");
@@ -394,7 +392,7 @@ TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
   ctobs::RunObserver run;
   run.Enable();
   run.metrics().Add("run.count");
-  campaign.AbsorbRun(0, run);
+  campaign.AbsorbRun(0, std::move(run));
 
   ctobs::MetricsSnapshot snapshot;
   snapshot.systems.push_back(campaign.Finalize());
@@ -426,7 +424,7 @@ TEST(ChromeTraceTest, TraceJsonParsesAndCarriesSpans) {
     ctobs::ScopedSpan span(&run, &loop, "workload", "phase");
     loop.RunToCompletion();
   }
-  campaign.AbsorbRun(0, run);
+  campaign.AbsorbRun(0, std::move(run));
 
   ctobs::ChromeTraceWriter writer;
   campaign.AppendChromeTrace(&writer, /*pid=*/1, "TestSys");
@@ -460,9 +458,9 @@ TEST(SnapshotTest, V2CarriesSpanTreeAndFlowsInDeterministicSection) {
     ctobs::ScopedSpan inner(&run, &loop, "gossip-round", "component", "Gossiper");
     loop.RunToCompletion();
   }
-  run.flows().Record(MakeFlow(1, 0, 1, "gossip"));
-  run.flows().Record(MakeFlow(2, 1, 2, "gossip"));
-  campaign.AbsorbRun(0, run);
+  RecordFlow(run.flows(), MakeFlow(1, 0, 1, "gossip"));
+  RecordFlow(run.flows(), MakeFlow(2, 1, 2, "gossip"));
+  campaign.AbsorbRun(0, std::move(run));
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
   ASSERT_EQ(metrics.span_tree.size(), 2u);
@@ -500,9 +498,9 @@ TEST(ChromeTraceTest, FlowArrowsLinkParentAndChildDeliveries) {
   parent.sim_ms = 10;
   ctobs::FlowRecord child = MakeFlow(2, 1, 0, "writeRow");
   child.sim_ms = 25;
-  run.flows().Record(parent);
-  run.flows().Record(child);
-  campaign.AbsorbRun(3, run);
+  RecordFlow(run.flows(), parent);
+  RecordFlow(run.flows(), child);
+  campaign.AbsorbRun(3, std::move(run));
 
   ctobs::ChromeTraceWriter writer;
   campaign.AppendChromeTrace(&writer, /*pid=*/1, "TestSys");

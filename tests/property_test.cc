@@ -15,6 +15,14 @@
 
 namespace {
 
+// "<prefix><n>". Built by appending: GCC 12 at -O3 raises a false-positive
+// -Wrestrict on `"literal" + std::to_string(n)` once it is inlined here.
+std::string Numbered(const char* prefix, uint64_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
 using ctcommon::Rng;
 using ctmodel::AccessKind;
 using ctmodel::AccessPointDecl;
@@ -34,9 +42,9 @@ struct RandomModel {
     int num_types = static_cast<int>(rng.Uniform(5, 40));
     for (int i = 0; i < num_types; ++i) {
       TypeDecl type;
-      type.name = "T" + std::to_string(i);
+      type.name = Numbered("T", i);
       if (i > 0 && rng.Chance(0.4)) {
-        type.supertype = "T" + std::to_string(rng.Index(i));
+        type.supertype = Numbered("T", rng.Index(i));
       }
       model.AddType(type);
       type_names.push_back(type.name);
@@ -44,7 +52,7 @@ struct RandomModel {
     int num_collections = static_cast<int>(rng.Uniform(1, 8));
     for (int i = 0; i < num_collections; ++i) {
       TypeDecl coll;
-      coll.name = "Coll" + std::to_string(i);
+      coll.name = Numbered("Coll", i);
       coll.element_types = {type_names[rng.Index(type_names.size())]};
       model.AddType(coll);
     }
@@ -52,8 +60,8 @@ struct RandomModel {
     for (int i = 0; i < num_fields; ++i) {
       FieldDecl field;
       field.clazz = type_names[rng.Index(type_names.size())];
-      field.name = "f" + std::to_string(i);
-      field.type = rng.Chance(0.2) ? "Coll" + std::to_string(rng.Index(num_collections))
+      field.name = Numbered("f", i);
+      field.type = rng.Chance(0.2) ? Numbered("Coll", rng.Index(num_collections))
                                    : type_names[rng.Index(type_names.size())];
       field.set_only_in_constructor = rng.Chance(0.3);
       model.AddField(field);
@@ -64,7 +72,7 @@ struct RandomModel {
         point.field_id = field.clazz + "." + field.name;
         point.kind = rng.Chance(0.5) ? AccessKind::kRead : AccessKind::kWrite;
         point.clazz = field.clazz;
-        point.method = "m" + std::to_string(a);
+        point.method = Numbered("m", a);
         point.value_unused = rng.Chance(0.2);
         point.sanity_checked = rng.Chance(0.2);
         model.AddAccessPoint(point);
@@ -179,8 +187,10 @@ TEST_P(StashProperty, AssociationsAlwaysAnchorAtNodes) {
     int n = static_cast<int>(rng.Uniform(1, 4));
     for (int k = 0; k < n; ++k) {
       if (rng.Chance(0.3)) {
-        instance.push_back("h" + std::to_string(rng.Uniform(1, 3)) + ":" +
-                           std::to_string(rng.Uniform(1000, 9999)));
+        std::string host = Numbered("h", rng.Uniform(1, 3));
+        host += ":";
+        host += std::to_string(rng.Uniform(1000, 9999));
+        instance.push_back(std::move(host));
       } else {
         instance.push_back(pool[rng.Index(pool.size())]);
       }
@@ -213,7 +223,7 @@ TEST_P(SimProperty, ConservationOfMessages) {
   ctsim::Cluster cluster(GetParam());
   std::vector<CountingNode*> nodes;
   for (int i = 0; i < 4; ++i) {
-    nodes.push_back(cluster.AddNode<CountingNode>("n" + std::to_string(i) + ":1"));
+    nodes.push_back(cluster.AddNode<CountingNode>(Numbered("n", i) + ":1"));
   }
   cluster.StartAll();
   int sent = 0;

@@ -117,7 +117,9 @@ TEST_P(FormatMatchRoundTrip, RoundTrips) {
   int n = CountPlaceholders(tmpl);
   std::vector<std::string> args;
   for (int i = 0; i < n; ++i) {
-    args.push_back("v" + std::to_string(rng.Uniform(0, 999)) + "_" + std::to_string(i));
+    std::string arg = "v";
+    arg.append(std::to_string(rng.Uniform(0, 999))).append("_").append(std::to_string(i));
+    args.push_back(std::move(arg));
   }
   std::string instance = FormatBraces(tmpl, args);
   std::vector<std::string> recovered;
@@ -175,7 +177,7 @@ TEST(Symbol, ComparesByIdButOrdersByText) {
   EXPECT_TRUE(z == "zebra");
   EXPECT_TRUE(z == std::string("zebra"));
   EXPECT_EQ(z + "!", "zebra!");
-  EXPECT_EQ("<" + std::string(z), "<zebra");
+  EXPECT_EQ("<" + z, "<zebra");
   EXPECT_EQ(SymbolIdHash{}(a), a.id());
 }
 

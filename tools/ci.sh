@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository CI: warnings-as-errors build, tier-1 tests, model lint, a
-# jobs=1-vs-jobs=hw smoke of the parallel injection campaign, then ASan+UBSan
-# and TSan builds of the same tree (the two sanitizers cannot share a build).
+# Repository CI: warnings-as-errors build, tier-1 tests, the same in a
+# Release (-O3) tree, model lint, a jobs=1-vs-jobs=hw smoke of the parallel
+# injection campaign, then ASan+UBSan and TSan builds of the same tree (the
+# two sanitizers cannot share a build).
 # Run from the repository root:
 #   tools/ci.sh [--skip-sanitizers]
 set -euo pipefail
@@ -25,6 +26,14 @@ echo "== stage 2: tests =="
 # property tests, and the golden-report regression (and again under both
 # sanitizer builds in stages 5-6).
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== stage 2b: Release build (-O3, -Werror) + tests =="
+# Optimizing at -O3 surfaces warnings the default RelWithDebInfo (-O2) build
+# never sees (GCC's -Wrestrict on inlined string concatenation, for one), so
+# the Release tree is built warnings-as-errors and tested on its own.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCRASHTUNER_WERROR=ON
+cmake --build build-release -j "$jobs"
+ctest --test-dir build-release --output-on-failure -j "$jobs"
 
 echo "== stage 3: model lint =="
 ./build/tools/ctlint --summary
