@@ -32,7 +32,6 @@
 //
 // Writes BENCH_obs_flows.json (or --json FILE). Exit status is the number of
 // violated criteria.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -51,15 +50,6 @@ constexpr int kTrials = 15;
 
 double Wall(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Linear-interpolated quantile, q in [0, 1].
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 // Wall-clock timings are the one legitimately nondeterministic part of a
@@ -225,17 +215,14 @@ int main(int argc, char** argv) {
 
   // 5. Overhead: medians of the interleaved trials; the per-pair ratios
   // show the spread a single sample would have been drawn from.
-  const double off_wall = Quantile(off_walls, 0.5);
-  const double on_wall = Quantile(on_walls, 0.5);
+  const double off_wall = ctbench::Quantile(off_walls, 0.5);
+  const double on_wall = ctbench::Quantile(on_walls, 0.5);
   const double overhead = off_wall > 0 ? (on_wall - off_wall) / off_wall : 0.0;
   std::vector<double> pair_overheads;
   for (int trial = 0; trial < kTrials; ++trial) {
     pair_overheads.push_back(on_walls[trial] / off_walls[trial] - 1.0);
   }
-  const double pair_min = Quantile(pair_overheads, 0.0);
-  const double pair_q1 = Quantile(pair_overheads, 0.25);
-  const double pair_q3 = Quantile(pair_overheads, 0.75);
-  const double pair_max = Quantile(pair_overheads, 1.0);
+  const ctbench::Spread pair = ctbench::Spread::Of(pair_overheads);
   const int hardware_threads = ctcore::ResolveJobs(0);
   const bool enforce_overhead = ctbench::EnforceSpeedupBar(hardware_threads);
   std::printf("overhead: median %.3fs observed vs %.3fs baseline over %d interleaved pairs "
@@ -243,7 +230,7 @@ int main(int argc, char** argv) {
               on_wall, off_wall, kTrials, 100.0 * overhead,
               enforce_overhead ? "enforced" : "not enforced", hardware_threads);
   std::printf("overhead spread per pair: min %+.1f%%, q1 %+.1f%%, q3 %+.1f%%, max %+.1f%%\n",
-              100.0 * pair_min, 100.0 * pair_q1, 100.0 * pair_q3, 100.0 * pair_max);
+              100.0 * pair.min, 100.0 * pair.q1, 100.0 * pair.q3, 100.0 * pair.max);
   failures += enforce_overhead && overhead > 0.10 ? 1 : 0;
 
   if (observation.enabled() && !observation.Write()) {
@@ -259,10 +246,10 @@ int main(int argc, char** argv) {
   json << "  \"baseline_wall_seconds\": " << off_wall << ",\n";
   json << "  \"observed_wall_seconds\": " << on_wall << ",\n";
   json << "  \"overhead\": " << overhead << ",\n";
-  json << "  \"overhead_pair_min\": " << pair_min << ",\n";
-  json << "  \"overhead_pair_q1\": " << pair_q1 << ",\n";
-  json << "  \"overhead_pair_q3\": " << pair_q3 << ",\n";
-  json << "  \"overhead_pair_max\": " << pair_max << ",\n";
+  json << "  \"overhead_pair_min\": " << pair.min << ",\n";
+  json << "  \"overhead_pair_q1\": " << pair.q1 << ",\n";
+  json << "  \"overhead_pair_q3\": " << pair.q3 << ",\n";
+  json << "  \"overhead_pair_max\": " << pair.max << ",\n";
   json << "  \"overhead_bar_enforced\": " << (enforce_overhead ? "true" : "false") << ",\n";
   json << "  \"reports_identical\": " << (reports_identical ? "true" : "false") << ",\n";
   json << "  \"total_virtual_ms\": " << total_virtual_ms << ",\n";

@@ -19,10 +19,14 @@
 // jobs counts (determinism), and jobs=4 must be >= 2x jobs=1 at the largest
 // level.
 //
+// Both wall-clock bars judge medians of kTrials interleaved pairs (legacy /
+// ladder, jobs=1 / jobs=4), alternating which side of a pair runs first; the
+// per-pair spread is printed and archived beside each median.
+//
 //   bench_scale [--json FILE] [SCALE...]        (default levels: 1 2 8)
 //
-// Writes BENCH_scale.json (or --json FILE). Exit status is the number of
-// violated criteria.
+// Writes BENCH_scale.json (or --json FILE); wall times there are medians.
+// Exit status is the number of violated criteria.
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -194,6 +198,9 @@ struct CellResult {
 };
 
 constexpr int kReplicates = 8;
+// Interleaved pairs behind each wall-clock bar; odd, so every median is a
+// sample.
+constexpr int kTrials = 5;
 
 RunStats ExecuteFaultFree(const ctcore::SystemUnderTest& system, uint64_t seed) {
   std::unique_ptr<ctcore::WorkloadRun> run =
@@ -255,28 +262,48 @@ int main(int argc, char** argv) {
   const long long kMicroEvents = 400000;
   const int kWindow = 10000;
   const int kCancelPct = 30;
-  MicroResult legacy = RunMicro<LegacyEventLoop>(kMicroEvents, kWindow, kCancelPct);
-  MicroResult ladder = RunMicro<ctsim::EventLoop>(kMicroEvents, kWindow, kCancelPct);
-  const double ratio =
-      legacy.events_per_sec() > 0 ? ladder.events_per_sec() / legacy.events_per_sec() : 0;
-  std::printf("scheduler microbench (%lld events, %d live, %d%% cancels)\n", kMicroEvents,
-              kWindow, kCancelPct);
-  std::printf("  legacy priority_queue : %12.0f events/sec  (%.2fs)\n",
-              legacy.events_per_sec(), legacy.wall_seconds);
-  std::printf("  ladder + slab         : %12.0f events/sec  (%.2fs)\n",
-              ladder.events_per_sec(), ladder.wall_seconds);
+  std::vector<double> legacy_rates, ladder_rates, micro_ratios;
+  bool fired_match = true;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    MicroResult legacy, ladder;
+    if (trial % 2 == 0) {
+      legacy = RunMicro<LegacyEventLoop>(kMicroEvents, kWindow, kCancelPct);
+      ladder = RunMicro<ctsim::EventLoop>(kMicroEvents, kWindow, kCancelPct);
+    } else {
+      ladder = RunMicro<ctsim::EventLoop>(kMicroEvents, kWindow, kCancelPct);
+      legacy = RunMicro<LegacyEventLoop>(kMicroEvents, kWindow, kCancelPct);
+    }
+    fired_match = fired_match && legacy.fired == ladder.fired;
+    legacy_rates.push_back(legacy.events_per_sec());
+    ladder_rates.push_back(ladder.events_per_sec());
+    micro_ratios.push_back(legacy.events_per_sec() > 0
+                               ? ladder.events_per_sec() / legacy.events_per_sec()
+                               : 0);
+  }
+  const double legacy_rate = ctbench::Quantile(legacy_rates, 0.5);
+  const double ladder_rate = ctbench::Quantile(ladder_rates, 0.5);
+  const double ratio = legacy_rate > 0 ? ladder_rate / legacy_rate : 0;
+  const ctbench::Spread ratio_spread = ctbench::Spread::Of(micro_ratios);
+  std::printf("scheduler microbench (%lld events, %d live, %d%% cancels, median of %d "
+              "interleaved pairs)\n",
+              kMicroEvents, kWindow, kCancelPct, kTrials);
+  std::printf("  legacy priority_queue : %12.0f events/sec\n", legacy_rate);
+  std::printf("  ladder + slab         : %12.0f events/sec\n", ladder_rate);
   std::printf("  speedup               : %11.1fx  (bar: >= 10x)\n", ratio);
-  if (legacy.fired != ladder.fired) {
-    std::printf("  WARNING: fired-event counts differ (legacy %llu vs ladder %llu)\n",
-                static_cast<unsigned long long>(legacy.fired),
-                static_cast<unsigned long long>(ladder.fired));
+  std::printf("  per-pair speedup      : min %.1fx, q1 %.1fx, q3 %.1fx, max %.1fx\n",
+              ratio_spread.min, ratio_spread.q1, ratio_spread.q3, ratio_spread.max);
+  if (!fired_match) {
+    std::printf("  WARNING: fired-event counts differ between legacy and ladder\n");
   }
 
-  // Part 2: campaign sweep.
+  // Part 2: campaign sweep. Each cell's wall time is the median of its
+  // trials; the jobs=4 speedup bar compares the two medians at the largest
+  // level.
   ctbench::PrintRule();
   std::printf("%-7s %-5s %6s %10s %12s %14s %12s\n", "scale", "jobs", "runs", "wall_s",
               "runs/sec", "events/sec", "peak_pend");
   std::vector<CellResult> cells;
+  std::vector<double> speedups;  // per pair, at the largest level
   bool deterministic = true;
   for (int scale : levels) {
     auto systems = ctbench::AllSystems();
@@ -284,9 +311,26 @@ int main(int argc, char** argv) {
       system->set_scale(scale);
       (void)system->model();  // warm the per-system artifact singletons
     }
-    CellResult sequential = SweepCell(systems, scale, 1);
-    CellResult parallel = SweepCell(systems, scale, 4);
-    deterministic = deterministic && sequential.per_task_events == parallel.per_task_events;
+    std::vector<double> sequential_walls, parallel_walls;
+    CellResult sequential, parallel;
+    speedups.clear();
+    for (int trial = 0; trial < kTrials; ++trial) {
+      if (trial % 2 == 0) {
+        sequential = SweepCell(systems, scale, 1);
+        parallel = SweepCell(systems, scale, 4);
+      } else {
+        parallel = SweepCell(systems, scale, 4);
+        sequential = SweepCell(systems, scale, 1);
+      }
+      deterministic = deterministic && sequential.per_task_events == parallel.per_task_events;
+      sequential_walls.push_back(sequential.wall_seconds);
+      parallel_walls.push_back(parallel.wall_seconds);
+      speedups.push_back(parallel.wall_seconds > 0
+                             ? sequential.wall_seconds / parallel.wall_seconds
+                             : 0);
+    }
+    sequential.wall_seconds = ctbench::Quantile(sequential_walls, 0.5);
+    parallel.wall_seconds = ctbench::Quantile(parallel_walls, 0.5);
     for (const CellResult& cell : {sequential, parallel}) {
       std::printf("%-7d %-5d %6d %10.3f %12.1f %14.0f %12llu\n", cell.scale, cell.jobs,
                   cell.runs, cell.wall_seconds, cell.runs_per_sec(), cell.events_per_sec(),
@@ -299,15 +343,19 @@ int main(int argc, char** argv) {
   const CellResult& last_par = cells[cells.size() - 1];
   const double jobs4_speedup =
       last_par.wall_seconds > 0 ? last_seq.wall_seconds / last_par.wall_seconds : 0;
+  const ctbench::Spread speedup_spread = ctbench::Spread::Of(speedups);
   // The speedup bar only means something when 4 workers have 4 cores to run
   // on; on smaller machines (single-core CI containers) the number is
   // reported but not enforced, same as the stage-4 parallel smoke.
   // CRASHTUNER_ENFORCE_SPEEDUP=1/0 overrides the auto-detection either way.
   const int hardware_threads = ctcore::ResolveJobs(0);
   const bool enforce_speedup = ctbench::EnforceSpeedupBar(hardware_threads);
-  std::printf("jobs=4 speedup at scale %d: %.2fx  (bar: >= 2x, %s on %d hardware thread(s))\n",
-              last_seq.scale, jobs4_speedup, enforce_speedup ? "enforced" : "not enforced",
-              hardware_threads);
+  std::printf("jobs=4 speedup at scale %d: %.2fx, median of %d interleaved pairs  (bar: >= 2x, "
+              "%s on %d hardware thread(s))\n",
+              last_seq.scale, jobs4_speedup, kTrials,
+              enforce_speedup ? "enforced" : "not enforced", hardware_threads);
+  std::printf("jobs=4 per-pair speedup: min %.2fx, q1 %.2fx, q3 %.2fx, max %.2fx\n",
+              speedup_spread.min, speedup_spread.q1, speedup_spread.q3, speedup_spread.max);
   std::printf("per-run event counts identical across jobs: %s\n", deterministic ? "yes" : "NO");
 
   int failures = 0;
@@ -317,13 +365,15 @@ int main(int argc, char** argv) {
 
   std::ofstream json(json_path);
   json << "{\n  \"schema\": \"crashtuner-bench-scale-v1\",\n";
+  json << "  \"trials\": " << kTrials << ",\n";
   json << "  \"microbench\": {\n";
   json << "    \"events\": " << kMicroEvents << ",\n";
   json << "    \"live_window\": " << kWindow << ",\n";
   json << "    \"cancel_pct\": " << kCancelPct << ",\n";
-  json << "    \"legacy_events_per_sec\": " << legacy.events_per_sec() << ",\n";
-  json << "    \"ladder_events_per_sec\": " << ladder.events_per_sec() << ",\n";
-  json << "    \"ratio\": " << ratio << "\n  },\n";
+  json << "    \"legacy_events_per_sec\": " << legacy_rate << ",\n";
+  json << "    \"ladder_events_per_sec\": " << ladder_rate << ",\n";
+  json << "    \"ratio\": " << ratio << ",\n";
+  json << "    \"ratio_per_pair\": " << ratio_spread.ToJson() << "\n  },\n";
   json << "  \"campaigns\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
@@ -337,6 +387,7 @@ int main(int argc, char** argv) {
   json << "  ],\n";
   json << "  \"largest_scale\": " << last_seq.scale << ",\n";
   json << "  \"jobs4_speedup_at_largest\": " << jobs4_speedup << ",\n";
+  json << "  \"jobs4_speedup_per_pair\": " << speedup_spread.ToJson() << ",\n";
   json << "  \"hardware_threads\": " << hardware_threads << ",\n";
   json << "  \"speedup_bar_enforced\": " << (enforce_speedup ? "true" : "false") << ",\n";
   json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";

@@ -4,6 +4,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -56,6 +57,39 @@ inline bool EnforceSpeedupBar(int hardware_threads) {
   }
   return hardware_threads >= 4;
 }
+
+// Linear-interpolated quantile, q in [0, 1].
+inline double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+// Five-number summary of repeated samples. Wall-clock bars judge the median
+// of interleaved trials and report this spread beside it: one sample on a
+// shared host swings by tens of percent.
+struct Spread {
+  double min = 0;
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+  double max = 0;
+
+  static Spread Of(const std::vector<double>& values) {
+    return {Quantile(values, 0.0), Quantile(values, 0.25), Quantile(values, 0.5),
+            Quantile(values, 0.75), Quantile(values, 1.0)};
+  }
+  // {"min": .., "q1": .., "median": .., "q3": .., "max": ..}
+  std::string ToJson() const {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"min\": %g, \"q1\": %g, \"median\": %g, \"q3\": %g, \"max\": %g}", min,
+                  q1, median, q3, max);
+    return buf;
+  }
+};
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");

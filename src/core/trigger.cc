@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
@@ -76,17 +77,20 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   const std::string injection_span_name =
       "inject:" + (span_decl != nullptr ? span_decl->name : anchor);
 
-  // Online log analysis: one agent per node feeding the custom stash.
+  // Online log analysis: one agent per node feeding the custom stash. Each
+  // instance is routed straight to its own node's agent; node ids are
+  // unique, so that is the one agent that would have accepted it anyway.
   ctlog::CustomStash stash(filter_);
-  std::vector<std::unique_ptr<ctlog::LogstashAgent>> agents;
+  std::unordered_map<std::string, ctlog::LogstashAgent> agents;
   {
     ctobs::ScopedSpan arm(run_observer, &cluster.loop(), "window-arm", "phase");
     for (const auto& node_id : cluster.node_ids()) {
-      agents.push_back(std::make_unique<ctlog::LogstashAgent>(node_id, &stash));
+      agents.try_emplace(node_id, node_id, &stash);
     }
     cluster.logs().Subscribe([&agents](const ctlog::Instance& instance) {
-      for (auto& agent : agents) {
-        agent->OnInstance(instance);
+      auto it = agents.find(instance.node);
+      if (it != agents.end()) {
+        it->second.OnInstance(instance);
       }
     });
   }

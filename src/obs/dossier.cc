@@ -1,5 +1,6 @@
 #include "src/obs/dossier.h"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -48,6 +49,20 @@ std::string RequireString(const JsonValue& value, const std::string& key) {
   return found.string_value;
 }
 
+// A decimal string holding an unsigned 64-bit value: digits only, no sign,
+// no whitespace, no overflow.
+uint64_t RequireUint64(const JsonValue& value, const std::string& key) {
+  const std::string text = RequireString(value, key);
+  uint64_t out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, out);
+  if (text.empty() || error != std::errc() || ptr != end) {
+    throw std::runtime_error("dossier: field '" + key +
+                             "' is not an unsigned 64-bit decimal: '" + text + "'");
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string Dossier::ToJson() const {
@@ -93,7 +108,7 @@ Dossier Dossier::FromJson(const JsonValue& value) {
     throw std::runtime_error("dossier: field 'slot' is not a number");
   }
   out.slot = static_cast<int>(slot.number_value);
-  out.seed = std::stoull(RequireString(value, "seed"));
+  out.seed = RequireUint64(value, "seed");
   out.failed_invariant = RequireString(value, "failed_invariant");
   const JsonValue& points = Require(value, "injected_points");
   if (!points.is_array()) {

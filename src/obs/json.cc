@@ -106,7 +106,28 @@ class Parser {
     }
   }
 
+  // Containers nest by recursion, so unbounded input could overflow the
+  // stack; nothing this library writes nests more than a few levels.
+  static constexpr int kMaxDepth = 256;
+
+  // Counts one level of container nesting for the lifetime of a parse call.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser* parser) : parser_(parser) {
+      if (++parser_->depth_ > kMaxDepth) {
+        parser_->Fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+    }
+    ~DepthGuard() { --parser_->depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
   JsonValue ParseObject() {
+    DepthGuard depth(this);
     Expect('{');
     JsonValue value;
     value.kind = JsonValue::Kind::kObject;
@@ -136,6 +157,7 @@ class Parser {
   }
 
   JsonValue ParseArray() {
+    DepthGuard depth(this);
     Expect('[');
     JsonValue value;
     value.kind = JsonValue::Kind::kArray;
@@ -264,6 +286,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -2,8 +2,9 @@
 //
 // Just enough to load the files this library writes back in — metrics
 // snapshots for ctstat and trace files for tests. Objects preserve key
-// order (vector of pairs) so diagnostics can mirror the file. Parse errors
-// throw std::runtime_error with an offset.
+// order (vector of pairs) so diagnostics can mirror the file. Parse errors,
+// including containers nested deeper than 256 levels, throw
+// std::runtime_error with an offset.
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 

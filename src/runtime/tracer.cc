@@ -90,34 +90,24 @@ void AccessTracer::OnAccess(int point_id, ctmodel::AccessKind kind, const std::s
     return;
   }
   ++hook_firings_;
-  std::string stack_key = CaptureStack().Key();
   if (mode_ == TraceMode::kProfile) {
     if (profiled_access_points_.count(point_id) > 0) {
-      ++dynamic_access_[DynamicPoint{point_id, stack_key}];
+      ++dynamic_access_[DynamicPoint{point_id, CaptureStack().Key()}];
     }
     return;
   }
-  // Trigger mode: fire once at the armed dynamic point.
-  if (trigger_fired_ || !armed_access_.has_value()) {
+  // Trigger mode: fire once at the armed dynamic point. The cheap checks go
+  // first; the stack is compared only at the armed static point.
+  if (trigger_fired_ || !armed_access_.has_value() || armed_access_->point_id != point_id ||
+      !StackKeyEquals(armed_access_->stack_key)) {
     return;
   }
-  if (armed_access_->point_id != point_id || armed_access_->stack_key != stack_key) {
-    return;
-  }
-  trigger_fired_ = true;
   AccessEvent event;
   event.point_id = point_id;
   event.kind = kind;
   event.value = value;
-  event.stack_key = stack_key;
-  fired_event_ = event;
-  // Detach the callback before running it: it may Rearm (installing a new
-  // callback) from inside, which must not clobber the executing closure.
-  TriggerFn fn = std::move(trigger_fn_);
-  trigger_fn_ = nullptr;
-  if (fn) {
-    fn(event);
-  }
+  event.stack_key = armed_access_->stack_key;
+  Fire(std::move(event));
 }
 
 void AccessTracer::IoBegin(int point_id) { OnIo(point_id, /*before=*/true); }
@@ -129,33 +119,34 @@ void AccessTracer::OnIo(int point_id, bool before) {
     return;
   }
   ++hook_firings_;
-  std::string stack_key = CaptureStack().Key();
   if (mode_ == TraceMode::kProfile) {
     if (before && profiled_io_points_.count(point_id) > 0) {
-      ++dynamic_io_[DynamicPoint{point_id, stack_key}];
+      ++dynamic_io_[DynamicPoint{point_id, CaptureStack().Key()}];
     }
     return;
   }
-  if (trigger_fired_ || !armed_io_.has_value() || armed_io_before_ != before) {
+  if (trigger_fired_ || !armed_io_.has_value() || armed_io_before_ != before ||
+      armed_io_->point_id != point_id || !StackKeyEquals(armed_io_->stack_key)) {
     return;
   }
-  if (armed_io_->point_id != point_id || armed_io_->stack_key != stack_key) {
-    return;
-  }
-  trigger_fired_ = true;
   AccessEvent event;
   event.point_id = point_id;
   event.kind = before ? ctmodel::AccessKind::kRead : ctmodel::AccessKind::kWrite;
-  event.stack_key = stack_key;
+  event.stack_key = armed_io_->stack_key;
+  Fire(std::move(event));
+}
+
+void AccessTracer::Fire(AccessEvent event) {
+  trigger_fired_ = true;
   fired_event_ = event;
+  // Detach the callback before running it: it may Rearm (installing a new
+  // callback) from inside, which must not clobber the executing closure.
   TriggerFn fn = std::move(trigger_fn_);
   trigger_fn_ = nullptr;
   if (fn) {
     fn(event);
   }
 }
-
-void AccessTracer::PushFrame(const char* frame) { stack_.emplace_back(frame); }
 
 void AccessTracer::PopFrame() {
   CT_CHECK(!stack_.empty());
@@ -168,9 +159,30 @@ CallStack AccessTracer::CaptureStack() const {
   // point to its callers", depth 5).
   int count = 0;
   for (auto it = stack_.rbegin(); it != stack_.rend() && count < stack_depth_; ++it, ++count) {
-    stack.frames.push_back(*it);
+    stack.frames.emplace_back(*it);
   }
   return stack;
+}
+
+bool AccessTracer::StackKeyEquals(std::string_view key) const {
+  // Walks the same frames CaptureStack would keep, matching each frame and
+  // its "<" separator against the next stretch of the key.
+  size_t pos = 0;
+  int count = 0;
+  for (auto it = stack_.rbegin(); it != stack_.rend() && count < stack_depth_; ++it, ++count) {
+    if (count > 0) {
+      if (pos == key.size() || key[pos] != '<') {
+        return false;
+      }
+      ++pos;
+    }
+    const std::string_view frame(*it);
+    if (key.size() - pos < frame.size() || key.compare(pos, frame.size(), frame) != 0) {
+      return false;
+    }
+    pos += frame.size();
+  }
+  return pos == key.size();
 }
 
 }  // namespace ctrt

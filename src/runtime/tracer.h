@@ -25,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/model/program_model.h"
@@ -109,9 +110,14 @@ class AccessTracer {
   void IoEnd(int point_id);
 
   // --- Call-stack maintenance ----------------------------------------------
-  void PushFrame(const char* frame);
+  // `frame` is stored by pointer, not copied: it must outlive its scope on
+  // the stack (every CT_FRAME passes a string literal).
+  void PushFrame(const char* frame) { stack_.push_back(frame); }
   void PopFrame();
   CallStack CaptureStack() const;
+  // CaptureStack().Key() == key, compared in place against the bounded stack
+  // without building the key.
+  bool StackKeyEquals(std::string_view key) const;
   // Override for the depth ablation. Deliberately survives Reset() so a
   // whole driver run (which resets per phase) can be measured at one depth;
   // callers restore kMaxDepth afterwards.
@@ -131,8 +137,12 @@ class AccessTracer {
   void OnAccess(int point_id, ctmodel::AccessKind kind, const std::string& value);
   void OnIo(int point_id, bool before);
 
+  // Fires the armed trigger: marks it spent, records the event and runs the
+  // detached callback.
+  void Fire(AccessEvent event);
+
   TraceMode mode_ = TraceMode::kOff;
-  std::vector<std::string> stack_;
+  std::vector<const char*> stack_;
   std::set<int> profiled_access_points_;
   std::set<int> profiled_io_points_;
   std::map<DynamicPoint, int> dynamic_access_;

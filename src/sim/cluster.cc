@@ -187,7 +187,7 @@ void Cluster::Post(Message message) {
       }
       ++duplicated_messages_;
       TraceMessage("dup", message);
-      ScheduleDelivery(message, dup_delay);
+      ScheduleDelivery(Message(message), dup_delay);
     }
   }
   ScheduleDelivery(std::move(message), delay);
@@ -206,7 +206,7 @@ void Cluster::Post(const std::string& from, const std::string& to, const std::st
   Post(std::move(message));
 }
 
-void Cluster::ScheduleDelivery(Message message, Time delay) {
+void Cluster::ScheduleDelivery(Message&& message, Time delay) {
   const Time when = loop_.Now() + delay;
   // Coalesce with the open batch when that is provably order-preserving:
   // same destination, same delivery tick, and nothing else scheduled behind
@@ -217,14 +217,25 @@ void Cluster::ScheduleDelivery(Message message, Time delay) {
     open_batch_->messages.push_back(std::move(message));
     return;
   }
-  auto batch = std::make_shared<DeliveryBatch>();
-  DeliveryBatch* raw = batch.get();
-  raw->to = message.to;
-  raw->when = when;
-  raw->messages.push_back(std::move(message));
-  loop_.Schedule(delay, [this, batch = std::move(batch)]() { RunBatch(batch.get()); });
-  raw->seq_mark = loop_.next_seq();
-  open_batch_ = raw;
+  DeliveryBatch* batch = AcquireBatch();
+  batch->to = message.to;
+  batch->when = when;
+  batch->messages.push_back(std::move(message));
+  loop_.Schedule(delay, [this, batch] { RunBatch(batch); });
+  batch->seq_mark = loop_.next_seq();
+  open_batch_ = batch;
+}
+
+Cluster::DeliveryBatch* Cluster::AcquireBatch() {
+  if (free_batches_.empty()) {
+    batch_pool_.push_back(std::make_unique<DeliveryBatch>());
+    // Room for every batch up front, so RunBatch's release cannot throw.
+    free_batches_.reserve(batch_pool_.size());
+    return batch_pool_.back().get();
+  }
+  DeliveryBatch* batch = free_batches_.back();
+  free_batches_.pop_back();
+  return batch;
 }
 
 void Cluster::RunBatch(DeliveryBatch* batch) {
@@ -232,12 +243,23 @@ void Cluster::RunBatch(DeliveryBatch* batch) {
     open_batch_ = nullptr;  // no appends once delivery has begun
   }
   in_progress_batches_.push_back(batch);
+  // Unwinds on every exit, including a TraceDivergence thrown mid-batch: the
+  // drain hook must never see a batch that is no longer delivering.
+  struct InProgress {
+    Cluster* cluster;
+    DeliveryBatch* batch;
+    ~InProgress() {
+      cluster->in_progress_batches_.pop_back();
+      batch->messages.clear();  // keeps capacity for the next batch
+      batch->next = 0;
+      cluster->free_batches_.push_back(batch);
+    }
+  } in_progress{this, batch};
   // A handler that re-enters the loop drains the rest of this batch through
   // the hook; the cursor is shared, so nothing delivers twice.
   while (batch->next < batch->messages.size()) {
     DeliverNow(batch->messages[batch->next++]);
   }
-  in_progress_batches_.pop_back();
 }
 
 void Cluster::DeliverNow(const Message& message) {

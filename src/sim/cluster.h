@@ -195,9 +195,13 @@ class Cluster {
  private:
   friend class Node;
 
-  // Same-link same-tick messages coalesced into one loop event. The batch is
-  // owned by its delivery closure; open_batch_ is a non-owning view that is
-  // severed the moment the closure starts (or the link/tick changes).
+  // Same-link same-tick messages coalesced into one loop event. Batches are
+  // pooled: the cluster owns every batch it ever made, the delivery closure
+  // holds a raw pointer (small enough for std::function's inline buffer),
+  // and RunBatch returns the batch to the free list with its message
+  // vector's capacity intact, so steady-state delivery allocates nothing.
+  // open_batch_ is a non-owning view that is severed the moment the batch
+  // starts delivering (or the link/tick changes).
   struct DeliveryBatch {
     NodeId to;
     Time when = 0;
@@ -209,7 +213,8 @@ class Cluster {
   };
 
   void RegisterNode(std::unique_ptr<Node> node);
-  void ScheduleDelivery(Message message, Time delay);
+  void ScheduleDelivery(Message&& message, Time delay);
+  DeliveryBatch* AcquireBatch();
   void RunBatch(DeliveryBatch* batch);
   void DeliverNow(const Message& message);
   void TraceRecord(const char* kind, std::string_view detail);
@@ -229,6 +234,8 @@ class Cluster {
   // Per-method heartbeat classification, memoized by symbol id
   // (0 = unknown, 1 = heartbeat-class, 2 = not).
   std::vector<uint8_t> heartbeat_class_;
+  std::vector<std::unique_ptr<DeliveryBatch>> batch_pool_;
+  std::vector<DeliveryBatch*> free_batches_;
   DeliveryBatch* open_batch_ = nullptr;
   // Batches whose delivery loop is currently on the call stack (outermost
   // first). When a handler re-enters the event loop mid-batch, the loop's

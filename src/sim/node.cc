@@ -113,21 +113,25 @@ void Node::After(Time delay, std::function<void()> fn) {
 }
 
 void Node::Every(Time period, std::function<void()> fn) {
-  ScheduleTick(period, std::make_shared<std::function<void()>>(std::move(fn)));
+  periodic_timers_.push_back(
+      std::make_unique<PeriodicTimer>(PeriodicTimer{period, std::move(fn)}));
+  ScheduleTick(periodic_timers_.back().get());
 }
 
-void Node::ScheduleTick(Time period, std::shared_ptr<std::function<void()>> fn) {
+void Node::ScheduleTick(PeriodicTimer* timer) {
   // The repeating event re-arms itself; owner tagging stops it at death.
   // Each re-arm re-applies the fault plan's clock skew, so a slow node's
   // period drifts cumulatively, round after round.
-  std::function<void()> tick = [this, period, fn]() {
-    Cluster::FlowRootScope flow_root(cluster_);
-    RunGuarded("timer", *fn);
-    if (IsRunning()) {
-      ScheduleTick(period, fn);
-    }
-  };
-  cluster_->loop().Schedule(cluster_->SkewedDelay(id_, period), std::move(tick), sym_);
+  cluster_->loop().Schedule(
+      cluster_->SkewedDelay(id_, timer->period),
+      [this, timer] {
+        Cluster::FlowRootScope flow_root(cluster_);
+        RunGuarded("timer", timer->fn);
+        if (IsRunning()) {
+          ScheduleTick(timer);
+        }
+      },
+      sym_);
 }
 
 void Node::OnHandlerException(const std::string& context, const SimException& e) {

@@ -120,8 +120,15 @@ class Node {
  private:
   friend class Cluster;
 
-  // Schedules the next tick of an Every timer; every re-arm shares `fn`.
-  void ScheduleTick(Time period, std::shared_ptr<std::function<void()>> fn);
+  // One Every timer: stored once, owned by the node, and referenced by a raw
+  // pointer from each re-arm, so a tick allocates nothing.
+  struct PeriodicTimer {
+    Time period;
+    std::function<void()> fn;
+  };
+
+  // Schedules the next tick of an Every timer.
+  void ScheduleTick(PeriodicTimer* timer);
 
   Cluster* cluster_;
   std::string id_;
@@ -134,6 +141,7 @@ class Node {
   std::unique_ptr<ctlog::Logger> logger_;
   // Keyed by interned method id: dispatch is one integer hash away.
   std::unordered_map<uint32_t, std::function<void(const Message&)>> handlers_;
+  std::vector<std::unique_ptr<PeriodicTimer>> periodic_timers_;
 };
 
 }  // namespace ctsim

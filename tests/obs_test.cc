@@ -352,6 +352,29 @@ TEST(DossierTest, RejectsWrongSchemaAndMissingFields) {
   EXPECT_THROW(ctobs::Dossier::FromJsonText("not json"), std::runtime_error);
 }
 
+TEST(DossierTest, RejectsSeedsThatAreNotUnsigned64BitDecimals) {
+  const std::string json = MakeDossier().ToJson();
+  const std::string field = "\"seed\": \"" + std::to_string(MakeDossier().seed) + "\"";
+  ASSERT_NE(json.find(field), std::string::npos);
+  auto with_seed = [&](const std::string& seed) {
+    std::string copy = json;
+    copy.replace(copy.find(field), field.size(), "\"seed\": \"" + seed + "\"");
+    return copy;
+  };
+  EXPECT_EQ(ctobs::Dossier::FromJsonText(with_seed("0")).seed, 0u);
+  EXPECT_EQ(ctobs::Dossier::FromJsonText(with_seed("18446744073709551615")).seed,
+            18446744073709551615ull);
+  for (const std::string bad : {"abc", "-1", "18446744073709551616", "99999999999999999999999",
+                                "", " 5", "5 ", "+5", "12abc", "0x10"}) {
+    try {
+      ctobs::Dossier::FromJsonText(with_seed(bad));
+      ADD_FAILURE() << "accepted seed '" << bad << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("'seed'"), std::string::npos) << error.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Campaign observer + snapshot + trace
 
@@ -548,6 +571,33 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(ctobs::ParseJson("[1,2"), std::runtime_error);
   EXPECT_THROW(ctobs::ParseJson("{} trailing"), std::runtime_error);
   EXPECT_THROW(ctobs::ParseJson(""), std::runtime_error);
+}
+
+TEST(JsonTest, RejectsNestingBeyondTheDepthCapWithoutCrashing) {
+  auto nested = [](size_t depth, char open, char close, const std::string& leaf) {
+    std::string text;
+    for (size_t i = 0; i < depth; ++i) {
+      text += open;
+      if (open == '{') {
+        text += "\"k\":";
+      }
+    }
+    text += leaf;
+    text.append(depth, close);
+    return text;
+  };
+  EXPECT_NO_THROW(ctobs::ParseJson(nested(256, '[', ']', "1")));
+  EXPECT_NO_THROW(ctobs::ParseJson(nested(256, '{', '}', "1")));
+  EXPECT_THROW(ctobs::ParseJson(nested(257, '[', ']', "1")), std::runtime_error);
+  EXPECT_THROW(ctobs::ParseJson(nested(257, '{', '}', "1")), std::runtime_error);
+  // Deep enough to overflow the stack of an uncapped recursive reader.
+  const std::string deep(200000, '[');
+  try {
+    ctobs::ParseJson(deep + std::string(200000, ']'));
+    ADD_FAILURE() << "accepted 200000 levels of nesting";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos) << error.what();
+  }
 }
 
 }  // namespace

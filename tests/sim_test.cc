@@ -5,6 +5,7 @@
 #include "src/sim/cluster.h"
 #include "src/sim/exception.h"
 #include "src/sim/failure_detector.h"
+#include "src/sim/trace.h"
 
 namespace ctsim {
 namespace {
@@ -140,6 +141,28 @@ TEST(Cluster, NodeCrashedSignalSilentlyEndsHandler) {
   cluster.loop().RunToCompletion();
   EXPECT_TRUE(b->mid_handler_);
   EXPECT_FALSE(b->aborted());  // not an exception, just a killed process
+}
+
+TEST(Cluster, ExceptionEscapingMidBatchAbandonsTheRestOfTheBatch) {
+  // A replay divergence is not a simulated fault: it escapes the node's
+  // exception boundary and unwinds out of the loop in the middle of a batch.
+  // The batch's remaining messages are abandoned, and no stale batch may stay
+  // behind for the drain hook to serve once the loop runs again.
+  Cluster cluster(1);
+  auto* a = cluster.AddNode<EchoNode>("a:1");
+  auto* b = cluster.AddNode<EchoNode>("b:1");
+  b->Handle("diverge", [](const Message&) { throw TraceDivergence("diverged"); });
+  cluster.StartAll();
+  a->Send("b:1", "diverge");
+  a->Send("b:1", "ping");  // same link, same tick: same batch
+  EXPECT_THROW(cluster.loop().RunToCompletion(), TraceDivergence);
+  EXPECT_EQ(b->pings_, 0);
+
+  a->Send("b:1", "ping");
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(b->pings_, 1);
+  EXPECT_EQ(a->pongs_, 1);
+  EXPECT_EQ(cluster.delivered_messages(), 3u);  // diverge, ping, pong
 }
 
 TEST(Cluster, CurrentNodeTracksExecutingHandler) {

@@ -1,8 +1,13 @@
 // Tests for the runtime tracer: call-stack capture, profile recording,
-// trigger-once semantics, and the IO hooks.
+// trigger-once semantics, the IO hooks, and the in-place stack-key compare.
 #include "src/runtime/tracer.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
 
 namespace ctrt {
 namespace {
@@ -153,6 +158,129 @@ TEST_F(TracerTest, ResetClearsEverything) {
   EXPECT_TRUE(tracer.dynamic_access_points().empty());
   EXPECT_FALSE(tracer.trigger_fired());
   EXPECT_EQ(tracer.hook_firings(), 0u);
+}
+
+// Frame names for the property tests. Some contain the "<" separator, some
+// are prefixes or suffixes of others, and one is empty, so concatenated keys
+// can collide across different frame splits.
+const char* const kFrames[] = {"a",  "ab",  "b",    "a<b", "<",  "",
+                               "b<", "<ab", "Handler.read", "Service.run"};
+constexpr size_t kFrameCount = sizeof(kFrames) / sizeof(kFrames[0]);
+
+std::string RandomKey(ctcommon::Rng& rng) {
+  std::string key;
+  const uint64_t frames = rng.Uniform(0, 5);
+  for (uint64_t i = 0; i < frames; ++i) {
+    if (i > 0) {
+      key += "<";
+    }
+    key += kFrames[rng.Index(kFrameCount)];
+  }
+  return key;
+}
+
+// Keys near `key`: itself, every prefix and suffix, and one-character edits
+// at each end.
+std::vector<std::string> NearbyKeys(const std::string& key) {
+  std::vector<std::string> keys = {key, key + "<", key + "a", "<" + key, "a" + key};
+  for (size_t n = 0; n <= key.size(); ++n) {
+    keys.push_back(key.substr(0, n));
+    keys.push_back(key.substr(n));
+  }
+  return keys;
+}
+
+TEST_F(TracerTest, StackKeyEqualsMatchesCapturedKeyOnRandomStacks) {
+  auto& tracer = AccessTracer::Instance();
+  ctcommon::Rng rng(0x5eed);
+  int matches = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint64_t height = rng.Uniform(0, 7);
+    for (uint64_t i = 0; i < height; ++i) {
+      tracer.PushFrame(kFrames[rng.Index(kFrameCount)]);
+    }
+    for (int depth = 1; depth <= CallStack::kMaxDepth; ++depth) {
+      tracer.set_stack_depth(depth);
+      const std::string captured = tracer.CaptureStack().Key();
+      std::vector<std::string> keys = NearbyKeys(captured);
+      keys.push_back(RandomKey(rng));
+      for (const std::string& key : keys) {
+        const bool expected = captured == key;
+        matches += expected ? 1 : 0;
+        ASSERT_EQ(tracer.StackKeyEquals(key), expected)
+            << "stack height " << height << ", depth " << depth << ", captured '" << captured
+            << "', key '" << key << "'";
+      }
+    }
+    for (uint64_t i = 0; i < height; ++i) {
+      tracer.PopFrame();
+    }
+  }
+  tracer.set_stack_depth(CallStack::kMaxDepth);
+  EXPECT_GT(matches, 0);
+}
+
+TEST_F(TracerTest, StackKeyEqualsOnTheEmptyStack) {
+  auto& tracer = AccessTracer::Instance();
+  EXPECT_TRUE(tracer.StackKeyEquals(""));
+  EXPECT_FALSE(tracer.StackKeyEquals("a"));
+  EXPECT_FALSE(tracer.StackKeyEquals("<"));
+  // A single empty frame has the same key as no frame at all.
+  tracer.PushFrame("");
+  EXPECT_TRUE(tracer.StackKeyEquals(""));
+  EXPECT_FALSE(tracer.StackKeyEquals("<"));
+  tracer.PushFrame("");
+  EXPECT_TRUE(tracer.StackKeyEquals("<"));
+  tracer.PopFrame();
+  tracer.PopFrame();
+}
+
+TEST_F(TracerTest, TriggerFiresExactlyOnceAtTheFirstArmedHit) {
+  auto& tracer = AccessTracer::Instance();
+  ctcommon::Rng rng(0xa11);
+  int fired_runs = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    tracer.Reset(TraceMode::kTrigger);
+    tracer.set_stack_depth(static_cast<int>(rng.Uniform(1, CallStack::kMaxDepth)));
+    const int armed_point = static_cast<int>(rng.Uniform(1, 3));
+    // Arm a key some hit will probably produce: the top frame alone, or the
+    // top two.
+    std::string armed_key = kFrames[rng.Index(kFrameCount)];
+    if (rng.Chance(0.5)) {
+      armed_key += std::string("<") + kFrames[rng.Index(kFrameCount)];
+    }
+    int fired = 0;
+    int fired_at = -1;
+    int hit = 0;
+    tracer.ArmAccessTrigger({armed_point, armed_key}, [&](const AccessEvent& event) {
+      ++fired;
+      fired_at = hit;
+      EXPECT_EQ(event.point_id, armed_point);
+      EXPECT_EQ(event.stack_key, armed_key);
+    });
+    int expected_at = -1;
+    for (hit = 0; hit < 40; ++hit) {
+      const uint64_t height = rng.Uniform(0, 3);
+      for (uint64_t i = 0; i < height; ++i) {
+        tracer.PushFrame(kFrames[rng.Index(kFrameCount)]);
+      }
+      const int point = static_cast<int>(rng.Uniform(1, 3));
+      if (expected_at < 0 && point == armed_point &&
+          tracer.CaptureStack().Key() == armed_key) {
+        expected_at = hit;
+      }
+      tracer.PreRead(point, "v");
+      for (uint64_t i = 0; i < height; ++i) {
+        tracer.PopFrame();
+      }
+    }
+    EXPECT_EQ(fired, expected_at >= 0 ? 1 : 0) << "trial " << trial;
+    EXPECT_EQ(fired_at, expected_at) << "trial " << trial;
+    EXPECT_EQ(tracer.trigger_fired(), expected_at >= 0);
+    fired_runs += fired;
+  }
+  tracer.set_stack_depth(CallStack::kMaxDepth);
+  EXPECT_GT(fired_runs, 0);
 }
 
 }  // namespace

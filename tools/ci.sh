@@ -94,7 +94,9 @@ echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sw
 # divergence between thread counts fails the stage. Leaves throughput, peak
 # queue depth, and the jobs-4 speedup at the largest level in
 # BENCH_scale.json (the >=2x speedup bar is enforced only on >=4-hardware-
-# thread machines; single-core CI records the number without failing).
+# thread machines; single-core CI records the number without failing). Both
+# wall-clock bars judge medians of interleaved trials, with the per-pair
+# spread archived beside them.
 # Byte-identical reports at --scale 8 across jobs=1/jobs=4 are asserted by
 # campaign_test's ScaleDeterminism suite in stage 2. Multi-core CI lanes can
 # export CRASHTUNER_ENFORCE_SPEEDUP=1 to pin the bar on regardless of what
@@ -106,8 +108,9 @@ echo "== stage 4g: fuzz smoke (coverage-guided grammar fuzzing, jobs=1 vs jobs=4
 # ⟨access point, call string⟩ pair the fixed workload script never produces,
 # the corpus and trace hash must agree between jobs=1 and jobs=4 (the full
 # byte-identity contract is fuzz_property_test in stage 2), and on >= 4
-# hardware threads jobs=4 must be >= 2x faster. Corpus size, new-coverage
-# count, and runs/sec land in BENCH_fuzz.json.
+# hardware threads jobs=4 must be >= 2x faster (median of interleaved
+# sweeps). Corpus size, new-coverage count, runs/sec and the speedup spread
+# land in BENCH_fuzz.json.
 ./build/bench/bench_fuzz --json build/BENCH_fuzz.json | tail -n 12
 
 echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
@@ -138,6 +141,17 @@ cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -L unit
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -L "property|differential|golden"
 ./build-asan/tools/ctlint
+# Readers of on-disk input fail with a typed error, never a crash: a
+# 200k-deep JSON array must end in ctstat's parse-error exit (2), not in a
+# stack overflow. obs_test's reader cases ran under this build above.
+deep_json=build-asan/deep_nesting.json
+{ head -c 200000 /dev/zero | tr '\0' '['; head -c 200000 /dev/zero | tr '\0' ']'; } > "$deep_json"
+ctstat_rc=0
+./build-asan/tools/ctstat "$deep_json" --check > /dev/null 2>&1 || ctstat_rc=$?
+if [[ "$ctstat_rc" != 2 ]]; then
+  echo "ctstat --check on 200k-deep nesting exited $ctstat_rc, want 2" >&2
+  exit 1
+fi
 
 echo "== stage 6: TSan build + tests =="
 cmake -B build-tsan -S . -DCRASHTUNER_SANITIZE=thread
