@@ -21,22 +21,6 @@ std::vector<std::string> Tokens(const std::string& text) {
   return out;
 }
 
-bool IsNodeShapedValue(const std::set<std::string>& hosts, const std::string& value) {
-  if (hosts.count(value) > 0) {
-    return true;
-  }
-  size_t colon = value.rfind(':');
-  if (colon == std::string::npos) {
-    return false;
-  }
-  std::string host = value.substr(0, colon);
-  std::string port = value.substr(colon + 1);
-  if (port.empty() || hosts.count(host) == 0) {
-    return false;
-  }
-  return std::all_of(port.begin(), port.end(), [](char c) { return c >= '0' && c <= '9'; });
-}
-
 }  // namespace
 
 PatternMatcher::PatternMatcher() {
@@ -147,7 +131,7 @@ LogAnalysisResult LogAnalysis::Analyze(const std::vector<ctlog::Instance>& insta
   auto& graph = result.graph;
   for (const auto& p : parsed) {
     for (const auto& value : p.values) {
-      if (IsNodeShapedValue(hosts_, value)) {
+      if (ctlog::IsNodeShapedValue(hosts_, value)) {
         graph.node_values.insert(value);
       }
     }

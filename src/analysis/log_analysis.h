@@ -91,7 +91,7 @@ class LogAnalysis {
 
  private:
   const ctmodel::ProgramModel* model_;
-  std::set<std::string> hosts_;
+  ctlog::HostSet hosts_;
   PatternMatcher matcher_;
   std::map<int, const ctmodel::LogBinding*> bindings_;
 };

@@ -1,20 +1,17 @@
 #include "src/logging/stash.h"
 
-#include "src/common/strings.h"
-
 namespace ctlog {
 
-bool OnlineFilter::IsNodeValue(const std::string& value) const {
-  if (hosts.count(value) > 0) {
+bool IsNodeShapedValue(const HostSet& hosts, std::string_view value) {
+  if (hosts.find(value) != hosts.end()) {
     return true;
   }
-  size_t colon = value.rfind(':');
-  if (colon == std::string::npos) {
+  const size_t colon = value.rfind(':');
+  if (colon == std::string_view::npos) {
     return false;
   }
-  std::string host = value.substr(0, colon);
-  std::string port = value.substr(colon + 1);
-  if (port.empty() || hosts.count(host) == 0) {
+  const std::string_view port = value.substr(colon + 1);
+  if (port.empty() || hosts.find(value.substr(0, colon)) == hosts.end()) {
     return false;
   }
   for (char c : port) {
@@ -26,41 +23,46 @@ bool OnlineFilter::IsNodeValue(const std::string& value) const {
 }
 
 void CustomStash::Process(const std::vector<std::string>& values) {
-  // Pass 1: node values join the HashSet.
-  for (const auto& value : values) {
-    if (filter_.IsNodeValue(value)) {
-      nodes_.insert(value);
+  // Classify each value once. Pass 1: node values join the HashSet.
+  is_node_.resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    is_node_[i] = filter_.IsNodeValue(values[i]);
+    if (is_node_[i]) {
+      nodes_.insert(values[i]);
     }
   }
   // Pass 2: find the anchor node for this instance. A node value in the
   // instance wins over an earlier association, so when a recovered component
   // re-registers on a different node ("attempt_2 registered on node2") its
-  // values are re-anchored to the new node.
-  std::optional<std::string> anchor;
-  for (const auto& value : values) {
-    if (filter_.IsNodeValue(value)) {
-      anchor = value;
-      break;
+  // values are re-anchored to the new node. The anchor aliases either a value
+  // or a map entry; pass 3 only ever assigns *anchor itself to map entries,
+  // so the alias stays valid and unchanged throughout.
+  const std::string* anchor = nullptr;
+  for (size_t i = 0; i < values.size() && anchor == nullptr; ++i) {
+    if (is_node_[i]) {
+      anchor = &values[i];
     }
   }
-  if (!anchor.has_value()) {
+  if (anchor == nullptr) {
+    // No value here is node-shaped, and nodes_ holds only node-shaped values,
+    // so Lookup reduces to the association map.
     for (const auto& value : values) {
-      auto node = Lookup(value);
-      if (node.has_value()) {
-        anchor = node;
+      auto it = value_to_node_.find(value);
+      if (it != value_to_node_.end()) {
+        anchor = &it->second;
         break;
       }
     }
   }
-  if (!anchor.has_value()) {
+  if (anchor == nullptr) {
     return;  // Unassociated values are discarded.
   }
   // Pass 3: associate (or re-associate) the remaining values with the anchor.
-  for (const auto& value : values) {
-    if (filter_.IsNodeValue(value) || value.empty()) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (is_node_[i] || values[i].empty()) {
       continue;
     }
-    value_to_node_[value] = *anchor;
+    value_to_node_[values[i]] = *anchor;
   }
 }
 
@@ -91,17 +93,17 @@ void LogstashAgent::OnInstance(const Instance& instance) {
   if (it == filter.metainfo_args.end()) {
     return;  // Nothing in this statement was classified as meta-info offline.
   }
-  std::vector<std::string> values;
+  values_.clear();  // keeps capacity: one buffer per agent for the whole run
   for (int index : it->second) {
     if (index >= 0 && index < static_cast<int>(instance.args.size())) {
-      values.push_back(instance.args[index]);
+      values_.push_back(instance.args[index]);
     }
   }
-  if (values.empty()) {
+  if (values_.empty()) {
     return;
   }
-  forwarded_value_count_ += static_cast<int>(values.size());
-  stash_->Process(values);
+  forwarded_value_count_ += static_cast<int>(values_.size());
+  stash_->Process(values_);
 }
 
 }  // namespace ctlog

@@ -10,15 +10,24 @@
 #ifndef SRC_LOGGING_STASH_H_
 #define SRC_LOGGING_STASH_H_
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/logging/log_store.h"
 
 namespace ctlog {
+
+// Configured host names; transparent, so string_view probes allocate nothing.
+using HostSet = std::set<std::string, std::less<>>;
+
+// True if `value` looks like a node id: "host:port" with a configured host
+// and an all-digit port, or a bare configured host.
+bool IsNodeShapedValue(const HostSet& hosts, std::string_view value);
 
 // Filter configuration produced by offline analysis. `hosts` comes from the
 // cluster configuration file; `metainfo_args[stmt] = arg indices` is the
@@ -26,12 +35,10 @@ namespace ctlog {
 // per-type toString regexes; statement-relative indices are the equivalent
 // for our structured log stream).
 struct OnlineFilter {
-  std::set<std::string> hosts;
+  HostSet hosts;
   std::map<int, std::vector<int>> metainfo_args;
 
-  // True if `value` looks like a node id: "host:port" with a configured host,
-  // or a bare configured host.
-  bool IsNodeValue(const std::string& value) const;
+  bool IsNodeValue(std::string_view value) const { return IsNodeShapedValue(hosts, value); }
 };
 
 class CustomStash {
@@ -58,6 +65,7 @@ class CustomStash {
   OnlineFilter filter_;
   std::set<std::string> nodes_;                       // Fig. 6 HashSet
   std::map<std::string, std::string> value_to_node_;  // Fig. 6 HashMap
+  std::vector<char> is_node_;  // Process scratch: IsNodeValue per value
 };
 
 // Per-node agent: subscribes to the cluster LogStore, filters instances from
@@ -76,6 +84,7 @@ class LogstashAgent {
  private:
   std::string node_;
   CustomStash* stash_;
+  std::vector<std::string> values_;  // extraction buffer, reused per instance
   int forwarded_value_count_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "src/runtime/tracer.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 
 #include "src/common/check.h"
 #include "src/runtime/run_context.h"
@@ -43,6 +45,8 @@ void AccessTracer::Reset(TraceMode mode) {
   profiled_io_points_.clear();
   dynamic_access_.clear();
   dynamic_io_.clear();
+  access_cache_.clear();
+  io_cache_.clear();
   armed_access_.reset();
   armed_io_.reset();
   armed_io_before_ = true;
@@ -92,7 +96,7 @@ void AccessTracer::OnAccess(int point_id, ctmodel::AccessKind kind, const std::s
   ++hook_firings_;
   if (mode_ == TraceMode::kProfile) {
     if (profiled_access_points_.count(point_id) > 0) {
-      ++dynamic_access_[DynamicPoint{point_id, CaptureStack().Key()}];
+      CountProfiled(point_id, dynamic_access_, access_cache_);
     }
     return;
   }
@@ -121,7 +125,7 @@ void AccessTracer::OnIo(int point_id, bool before) {
   ++hook_firings_;
   if (mode_ == TraceMode::kProfile) {
     if (before && profiled_io_points_.count(point_id) > 0) {
-      ++dynamic_io_[DynamicPoint{point_id, CaptureStack().Key()}];
+      CountProfiled(point_id, dynamic_io_, io_cache_);
     }
     return;
   }
@@ -134,6 +138,35 @@ void AccessTracer::OnIo(int point_id, bool before) {
   event.kind = before ? ctmodel::AccessKind::kRead : ctmodel::AccessKind::kWrite;
   event.stack_key = armed_io_->stack_key;
   Fire(std::move(event));
+}
+
+size_t AccessTracer::ProfileKeyHash::operator()(const ProfileKey& key) const {
+  uint64_t h = (static_cast<uint64_t>(static_cast<uint32_t>(key.point_id)) << 8) ^
+               static_cast<uint64_t>(key.depth);
+  for (int i = 0; i < key.depth; ++i) {
+    h = (h ^ reinterpret_cast<uintptr_t>(key.frames[static_cast<size_t>(i)])) *
+        0x9e3779b97f4a7c15ull;
+  }
+  return static_cast<size_t>(h ^ (h >> 32));
+}
+
+void AccessTracer::CountProfiled(int point_id, std::map<DynamicPoint, int>& counters,
+                                 ProfileCache& cache) {
+  const size_t kept = std::min(stack_.size(), static_cast<size_t>(std::max(stack_depth_, 0)));
+  if (kept > static_cast<size_t>(CallStack::kMaxDepth)) {
+    ++counters[DynamicPoint{point_id, CaptureStack().Key()}];
+    return;
+  }
+  ProfileKey key;
+  key.point_id = point_id;
+  key.depth = static_cast<int>(kept);
+  std::copy_n(stack_.rbegin(), kept, key.frames.begin());
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    int* counter = &counters[DynamicPoint{point_id, CaptureStack().Key()}];
+    it = cache.emplace(key, counter).first;
+  }
+  ++*it->second;
 }
 
 void AccessTracer::Fire(AccessEvent event) {

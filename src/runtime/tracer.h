@@ -20,12 +20,14 @@
 #ifndef SRC_RUNTIME_TRACER_H_
 #define SRC_RUNTIME_TRACER_H_
 
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/model/program_model.h"
@@ -110,8 +112,9 @@ class AccessTracer {
   void IoEnd(int point_id);
 
   // --- Call-stack maintenance ----------------------------------------------
-  // `frame` is stored by pointer, not copied: it must outlive its scope on
-  // the stack (every CT_FRAME passes a string literal).
+  // `frame` is stored by pointer, not copied: it must keep naming the same
+  // text until the next Reset, because profile mode caches counters by frame
+  // address (every CT_FRAME passes a string literal).
   void PushFrame(const char* frame) { stack_.push_back(frame); }
   void PopFrame();
   CallStack CaptureStack() const;
@@ -134,8 +137,29 @@ class AccessTracer {
   uint64_t hook_firings() const { return hook_firings_; }
 
  private:
+  // Profile-mode counter cache key: the static point and the frame
+  // addresses CaptureStack would keep, innermost first. Frames at distinct
+  // addresses with equal text are distinct keys that resolve to one counter.
+  struct ProfileKey {
+    int point_id = -1;
+    int depth = 0;
+    std::array<const char*, CallStack::kMaxDepth> frames{};
+    bool operator==(const ProfileKey& other) const {
+      return point_id == other.point_id && depth == other.depth && frames == other.frames;
+    }
+  };
+  struct ProfileKeyHash {
+    size_t operator()(const ProfileKey& key) const;
+  };
+  using ProfileCache = std::unordered_map<ProfileKey, int*, ProfileKeyHash>;
+
   void OnAccess(int point_id, ctmodel::AccessKind kind, const std::string& value);
   void OnIo(int point_id, bool before);
+  // Counts one profiled hit of `point_id` at the current stack. The cache
+  // finds the counter (std::map nodes never move) without building the
+  // stack key; only a miss, or a stack deeper than kMaxDepth under the depth
+  // ablation, takes the CaptureStack().Key() path.
+  void CountProfiled(int point_id, std::map<DynamicPoint, int>& counters, ProfileCache& cache);
 
   // Fires the armed trigger: marks it spent, records the event and runs the
   // detached callback.
@@ -147,6 +171,8 @@ class AccessTracer {
   std::set<int> profiled_io_points_;
   std::map<DynamicPoint, int> dynamic_access_;
   std::map<DynamicPoint, int> dynamic_io_;
+  ProfileCache access_cache_;  // counters in dynamic_access_
+  ProfileCache io_cache_;      // counters in dynamic_io_
 
   std::optional<DynamicPoint> armed_access_;
   std::optional<DynamicPoint> armed_io_;

@@ -209,16 +209,17 @@ void Cluster::Post(const std::string& from, const std::string& to, const std::st
 void Cluster::ScheduleDelivery(Message&& message, Time delay) {
   const Time when = loop_.Now() + delay;
   // Coalesce with the open batch when that is provably order-preserving:
-  // same destination, same delivery tick, and nothing else scheduled behind
-  // the batch event (so this message's own event would have been seq-adjacent
-  // to it anyway).
-  if (open_batch_ != nullptr && open_batch_->to == message.to && open_batch_->when == when &&
+  // same delivery tick, and nothing else scheduled behind the batch event
+  // (so this message's own event would have been seq-adjacent to it anyway).
+  // The destination does not matter: DeliverNow checks each message's target
+  // on its own, and a handler that re-enters the loop mid-batch is served
+  // the rest of the batch first through the drain hook.
+  if (open_batch_ != nullptr && open_batch_->when == when &&
       loop_.next_seq() == open_batch_->seq_mark) {
     open_batch_->messages.push_back(std::move(message));
     return;
   }
   DeliveryBatch* batch = AcquireBatch();
-  batch->to = message.to;
   batch->when = when;
   batch->messages.push_back(std::move(message));
   loop_.Schedule(delay, [this, batch] { RunBatch(batch); });

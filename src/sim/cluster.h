@@ -88,8 +88,9 @@ class Cluster {
   void Shutdown(const std::string& id);
 
   // Network: schedules delivery after the link latency; messages to nodes
-  // that are dead *at delivery time* are dropped. Same-destination messages
-  // posted back-to-back onto the same delivery tick share one loop event.
+  // that are dead *at delivery time* are dropped. Messages posted
+  // back-to-back onto the same delivery tick share one loop event, whatever
+  // their destinations: a sender's whole fan-out round is one event.
   void Post(Message message);
   // Convenience for senders outside any node (workload kick-off scripts).
   void Post(const std::string& from, const std::string& to, const std::string& method,
@@ -195,15 +196,16 @@ class Cluster {
  private:
   friend class Node;
 
-  // Same-link same-tick messages coalesced into one loop event. Batches are
-  // pooled: the cluster owns every batch it ever made, the delivery closure
-  // holds a raw pointer (small enough for std::function's inline buffer),
-  // and RunBatch returns the batch to the free list with its message
-  // vector's capacity intact, so steady-state delivery allocates nothing.
-  // open_batch_ is a non-owning view that is severed the moment the batch
-  // starts delivering (or the link/tick changes).
+  // Same-tick messages coalesced into one loop event: everything posted for
+  // one delivery tick while no other event was scheduled, typically one
+  // sender's fan-out to all its peers. Batches are pooled: the cluster owns
+  // every batch it ever made, the delivery closure holds a raw pointer
+  // (small enough for std::function's inline buffer), and RunBatch returns
+  // the batch to the free list with its message vector's capacity intact,
+  // so steady-state delivery allocates nothing. open_batch_ is a non-owning
+  // view that is severed the moment the batch starts delivering (or the
+  // tick changes, or another event is scheduled behind it).
   struct DeliveryBatch {
-    NodeId to;
     Time when = 0;
     uint64_t seq_mark = 0;  // loop seq right after the batch event: appending
                             // is order-safe only while nothing else was

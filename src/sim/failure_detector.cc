@@ -15,20 +15,31 @@ NodeId FailureDetector::Lookup(const std::string& node_id) const {
   return owner_->cluster().interner().Find(node_id);
 }
 
+bool FailureDetector::Untrack(NodeId node_id) {
+  if (!IsTracked(node_id)) {
+    return false;
+  }
+  entries_[node_id.id()].tracked = false;
+  return true;
+}
+
 void FailureDetector::Heartbeat(NodeId node_id) {
-  last_heartbeat_[node_id.id()] = Entry{node_id, owner_->cluster().loop().Now()};
+  if (node_id.id() >= entries_.size()) {
+    entries_.resize(node_id.id() + 1);
+  }
+  entries_[node_id.id()] = Entry{node_id, owner_->cluster().loop().Now(), true};
 }
 
 void FailureDetector::Heartbeat(const std::string& node_id) {
   Heartbeat(owner_->cluster().Intern(node_id));
 }
 
-void FailureDetector::Forget(NodeId node_id) { last_heartbeat_.erase(node_id.id()); }
+void FailureDetector::Forget(NodeId node_id) { Untrack(node_id); }
 
 void FailureDetector::Forget(const std::string& node_id) { Forget(Lookup(node_id)); }
 
 void FailureDetector::NotifyLeft(NodeId node_id) {
-  if (last_heartbeat_.erase(node_id.id()) > 0) {
+  if (Untrack(node_id)) {
     ++lost_count_;
     on_lost_(node_id);
   }
@@ -37,7 +48,7 @@ void FailureDetector::NotifyLeft(NodeId node_id) {
 void FailureDetector::NotifyLeft(const std::string& node_id) { NotifyLeft(Lookup(node_id)); }
 
 bool FailureDetector::IsTracked(NodeId node_id) const {
-  return last_heartbeat_.count(node_id.id()) > 0;
+  return node_id.id() < entries_.size() && entries_[node_id.id()].tracked;
 }
 
 bool FailureDetector::IsTracked(const std::string& node_id) const {
@@ -46,9 +57,10 @@ bool FailureDetector::IsTracked(const std::string& node_id) const {
 
 std::vector<std::string> FailureDetector::tracked() const {
   std::vector<std::string> out;
-  out.reserve(last_heartbeat_.size());
-  for (const auto& [_, entry] : last_heartbeat_) {
-    out.push_back(entry.id.str());
+  for (const Entry& entry : entries_) {
+    if (entry.tracked) {
+      out.push_back(entry.id.str());
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -57,16 +69,18 @@ std::vector<std::string> FailureDetector::tracked() const {
 void FailureDetector::Sweep() {
   Time now = owner_->cluster().loop().Now();
   std::vector<NodeId> lost;
-  for (const auto& [_, entry] : last_heartbeat_) {
-    if (now - entry.last > timeout_ms_) {
+  for (const Entry& entry : entries_) {
+    if (entry.tracked && now - entry.last > timeout_ms_) {
       lost.push_back(entry.id);
     }
   }
   // Declare losses in string order — the iteration order of the ordered map
-  // this detector used to keep, so recovery callbacks fire identically.
+  // this detector used to keep, so recovery callbacks fire identically. A
+  // callback that forgets or re-registers a later loser does not spare it:
+  // every id collected here is untracked and reported, as before.
   std::sort(lost.begin(), lost.end());
   for (const NodeId id : lost) {
-    last_heartbeat_.erase(id.id());
+    entries_[id.id()].tracked = false;
     ++lost_count_;
     on_lost_(id);
   }

@@ -8,7 +8,8 @@
 #ifndef SRC_SIM_MESSAGE_H_
 #define SRC_SIM_MESSAGE_H_
 
-#include <array>
+#include <cstdint>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,13 +19,35 @@
 
 namespace ctsim {
 
-// Insertion-ordered flat map with inline storage for the common case.
+// Insertion-ordered flat map with inline storage for the common case. The
+// first kInline entries live in raw inline storage and only the `count_`
+// constructed ones are ever copied, moved or destroyed, so a payload-free
+// message moves in a few words; entries past kInline spill to a vector.
 class ArgVec {
  public:
   struct Entry {
     Symbol key;
     std::string value;
   };
+
+  ArgVec() = default;
+  ArgVec(const ArgVec& other) { CopyFrom(other); }
+  ArgVec(ArgVec&& other) noexcept { MoveFrom(other); }
+  ArgVec& operator=(const ArgVec& other) {
+    if (this != &other) {
+      Clear();
+      CopyFrom(other);
+    }
+    return *this;
+  }
+  ArgVec& operator=(ArgVec&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      MoveFrom(other);
+    }
+    return *this;
+  }
+  ~ArgVec() { Clear(); }
 
   void Set(Symbol key, std::string value) {
     for (uint32_t i = 0; i < count_; ++i) {
@@ -35,7 +58,7 @@ class ArgVec {
       }
     }
     if (count_ < kInline) {
-      inline_[count_] = Entry{key, std::move(value)};
+      new (Slot(count_)) Entry{key, std::move(value)};
     } else {
       spill_.push_back(Entry{key, std::move(value)});
     }
@@ -63,21 +86,59 @@ class ArgVec {
     return Empty();
   }
 
+  // Entries in insertion order.
+  const Entry& operator[](size_t i) const { return At(static_cast<uint32_t>(i)); }
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
  private:
   static constexpr uint32_t kInline = 4;
 
-  Entry& At(uint32_t i) { return i < kInline ? inline_[i] : spill_[i - kInline]; }
-  const Entry& At(uint32_t i) const { return i < kInline ? inline_[i] : spill_[i - kInline]; }
+  // Raw slot i, for placement new; Inline(i) is the constructed entry there.
+  void* Slot(uint32_t i) { return inline_ + i * sizeof(Entry); }
+  Entry* Inline(uint32_t i) { return std::launder(static_cast<Entry*>(Slot(i))); }
+  const Entry* Inline(uint32_t i) const {
+    return std::launder(reinterpret_cast<const Entry*>(inline_ + i * sizeof(Entry)));
+  }
+  Entry& At(uint32_t i) { return i < kInline ? *Inline(i) : spill_[i - kInline]; }
+  const Entry& At(uint32_t i) const { return i < kInline ? *Inline(i) : spill_[i - kInline]; }
+  uint32_t InlineCount() const { return count_ < kInline ? count_ : kInline; }
   static const std::string& Empty() {
     static const std::string kEmpty;
     return kEmpty;
   }
 
+  // Both helpers expect *this to be empty. count_ advances per constructed
+  // entry, so a copy that throws part-way leaves a valid, shorter ArgVec.
+  void CopyFrom(const ArgVec& other) {
+    const uint32_t n = other.InlineCount();
+    for (uint32_t i = 0; i < n; ++i) {
+      new (Slot(i)) Entry(*other.Inline(i));
+      ++count_;
+    }
+    spill_ = other.spill_;
+    count_ = other.count_;
+  }
+  void MoveFrom(ArgVec& other) noexcept {
+    const uint32_t n = other.InlineCount();
+    for (uint32_t i = 0; i < n; ++i) {
+      new (Slot(i)) Entry(std::move(*other.Inline(i)));
+    }
+    spill_ = std::move(other.spill_);
+    count_ = other.count_;
+    other.Clear();
+  }
+  void Clear() noexcept {
+    const uint32_t n = InlineCount();
+    for (uint32_t i = 0; i < n; ++i) {
+      Inline(i)->~Entry();
+    }
+    spill_.clear();
+    count_ = 0;
+  }
+
   uint32_t count_ = 0;
-  std::array<Entry, kInline> inline_;
+  alignas(Entry) unsigned char inline_[kInline * sizeof(Entry)];
   std::vector<Entry> spill_;
 };
 

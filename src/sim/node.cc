@@ -46,12 +46,13 @@ void Node::Dispatch(const Message& message) {
   if (!IsRunning()) {
     return;
   }
-  auto it = handlers_.find(message.method.id());
-  if (it == handlers_.end()) {
+  const uint32_t method = message.method.id();
+  if (method >= handlers_.size() || !handlers_[method]) {
     log().Warn("No handler for RPC {}", {message.method}, "Node.dispatch");
     return;
   }
-  RunGuarded(message.method.str(), [&] { it->second(message); });
+  const auto& handler = handlers_[method];
+  RunGuarded(message.method.str(), [&] { handler(message); });
 }
 
 void Node::RunGuarded(std::string_view context, const std::function<void()>& fn) {
@@ -76,7 +77,11 @@ void Node::RunGuarded(std::string_view context, const std::function<void()>& fn)
 }
 
 void Node::Handle(const std::string& method, std::function<void(const Message&)> handler) {
-  handlers_[cluster_->Intern(method).id()] = std::move(handler);
+  const uint32_t id = cluster_->Intern(method).id();
+  if (id >= handlers_.size()) {
+    handlers_.resize(id + 1);
+  }
+  handlers_[id] = std::move(handler);
 }
 
 void Node::Send(const std::string& to, const std::string& method, KvList args) {

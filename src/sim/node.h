@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -68,7 +67,9 @@ class Node {
   // only if `fn` throws.
   void RunGuarded(std::string_view context, const std::function<void()>& fn);
 
-  // RPC handler registration.
+  // RPC handler registration, before messages flow (constructors do it): the
+  // table is a vector indexed by method id, and growing it from inside a
+  // running handler would move the closure that is executing.
   void Handle(const std::string& method, std::function<void(const Message&)> handler);
 
   // Sends an RPC to another node via the cluster network. Hot senders
@@ -139,8 +140,9 @@ class Node {
   bool workload_driver_ = false;
   bool critical_ = false;
   std::unique_ptr<ctlog::Logger> logger_;
-  // Keyed by interned method id: dispatch is one integer hash away.
-  std::unordered_map<uint32_t, std::function<void(const Message&)>> handlers_;
+  // Indexed by interned method id (empty slots for unhandled methods):
+  // dispatch is one bounds check and one load.
+  std::vector<std::function<void(const Message&)>> handlers_;
   std::vector<std::unique_ptr<PeriodicTimer>> periodic_timers_;
 };
 

@@ -3,8 +3,9 @@
 // A counting global operator new records every heap allocation the process
 // makes. After a warm-up that lets pools, slabs and vectors reach their
 // steady-state capacity, each scenario below must allocate nothing at all:
-// message delivery between two nodes, Every ticks, and trigger-mode tracer
-// hooks that do not fire. The test counts allocations and takes no timings,
+// message delivery between two nodes, one node's heartbeat fan-out, Every
+// ticks, trigger-mode tracer hooks that do not fire, and profile-mode hooks
+// at dynamic points already seen. The test counts allocations and takes no timings,
 // so its verdict is the same on any host.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/runtime/tracer.h"
 #include "src/sim/cluster.h"
@@ -95,6 +97,64 @@ TEST(ZeroAllocation, HeartbeatDeliveryAllocatesNothingInSteadyState) {
   EXPECT_GT(b->pings_, 0);
 }
 
+// One node heartbeating all its peers every tick, as a ZooKeeper peer does:
+// the whole round is one delivery batch.
+class FanOutNode : public Node {
+ public:
+  FanOutNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
+    beat_ = cluster->Intern("peerHeartbeat");
+    Handle("peerHeartbeat", [this](const Message&) { ++beats_; });
+  }
+
+  void add_peer(NodeId peer) { peers_.push_back(peer); }
+
+  int beats_ = 0;
+
+ protected:
+  void OnStart() override {
+    if (!peers_.empty()) {
+      Every(100, [this] {
+        for (const NodeId peer : peers_) {
+          Send(peer, beat_);
+        }
+      });
+    }
+  }
+
+ private:
+  std::vector<NodeId> peers_;
+  Symbol beat_;
+};
+
+TEST(ZeroAllocation, HeartbeatFanOutToSevenPeersAllocatesNothingInSteadyState) {
+  Cluster cluster(3);
+  FanOutNode* sender = cluster.AddNode<FanOutNode>("node0:1");
+  std::vector<FanOutNode*> peers;
+  for (int i = 1; i <= 7; ++i) {
+    std::string id = "node";
+    id += std::to_string(i);
+    id += ":1";
+    peers.push_back(cluster.AddNode<FanOutNode>(id));
+    sender->add_peer(peers.back()->sym());
+  }
+  cluster.StartAll();
+  cluster.loop().RunUntil(10'000);  // warm-up, past the wheel horizon
+
+  const uint64_t delivered = cluster.delivered_messages();
+  const uint64_t events = cluster.loop().executed_events();
+  const uint64_t before = Allocations();
+  cluster.loop().RunUntil(20'000);
+  const uint64_t allocations = Allocations() - before;
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(cluster.delivered_messages() - delivered, 700u);
+  // Per round: the sender's tick and one batch for all seven heartbeats.
+  EXPECT_EQ(cluster.loop().executed_events() - events, 200u);
+  for (const FanOutNode* peer : peers) {
+    EXPECT_GE(peer->beats_, 100);
+  }
+}
+
 class TickNode : public Node {
  public:
   using Node::Node;
@@ -159,6 +219,38 @@ TEST(ZeroAllocation, UnfiredTriggerHooksAllocateNothing) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(tracer.hook_firings(), 4000u);
+  tracer.Reset(TraceMode::kOff);
+}
+
+TEST(ZeroAllocation, ProfileHooksAtSeenPointsAllocateNothing) {
+  AccessTracer& tracer = AccessTracer::Instance();
+  tracer.Reset(TraceMode::kProfile);
+  tracer.SetProfiledPoints({7, 8}, {9});
+  const std::string value = "node1:1";
+  uint64_t allocations = 0;
+  {
+    ScopedFrame outer("Service.run");
+    {
+      ScopedFrame inner("Handler.read");
+      tracer.PreRead(7, value);  // first sight of each dynamic point: allocates
+      tracer.PostWrite(8, value);
+      tracer.IoBegin(9);
+    }
+    const uint64_t before = Allocations();
+    for (int i = 0; i < 1000; ++i) {
+      ScopedFrame inner("Handler.read");
+      tracer.PreRead(7, value);
+      tracer.PostWrite(8, value);
+      tracer.IoBegin(9);
+      tracer.IoEnd(9);
+    }
+    allocations = Allocations() - before;
+  }
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(tracer.dynamic_access_points().size(), 2u);
+  EXPECT_EQ(tracer.dynamic_io_points().size(), 1u);
+  EXPECT_EQ(tracer.dynamic_io_points().begin()->second, 1001);
   tracer.Reset(TraceMode::kOff);
 }
 

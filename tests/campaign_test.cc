@@ -70,6 +70,52 @@ TEST(CampaignEngine, MapRethrowsTaskException) {
                std::runtime_error);
 }
 
+TEST(CampaignEngine, WorkersPersistAcrossMaps) {
+  // The fuzzer maps many small batches through one engine: every Map after
+  // the first must reuse the same threads (the caller plus jobs - 1
+  // workers), and each Map still returns its own results in index order.
+  ctcore::CampaignEngine engine(4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<int> out = engine.Map(8, [&](int i) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return round * 100 + i;
+    });
+    ASSERT_EQ(out.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(out[static_cast<size_t>(i)], round * 100 + i);
+    }
+  }
+  EXPECT_GT(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 4u);
+}
+
+TEST(CampaignEngine, MapAfterAFailedMapRunsEveryTask) {
+  ctcore::CampaignEngine engine(3);
+  EXPECT_THROW(engine.Map(32,
+                          [](int i) {
+                            if (i % 5 == 4) {
+                              throw std::runtime_error("task failed");
+                            }
+                            return i;
+                          }),
+               std::runtime_error);
+  std::atomic<int> ran{0};
+  std::vector<int> out = engine.Map(32, [&](int i) {
+    ran.fetch_add(1);
+    return -i;
+  });
+  EXPECT_EQ(ran.load(), 32);
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(out[static_cast<size_t>(i)], -i);
+  }
+}
+
 TEST(RunContextBinding, WorkerThreadsSeeTheirOwnTracer) {
   // Two threads each bind a context and record through Instance(): neither
   // observes the other's frames.

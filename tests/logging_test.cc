@@ -59,6 +59,22 @@ TEST(OnlineFilter, RecognizesNodeValues) {
   EXPECT_FALSE(filter.IsNodeValue("node1:"));
 }
 
+TEST(OnlineFilter, NodeValueEdgeCases) {
+  OnlineFilter filter;
+  filter.hosts = {"h", "a"};
+  EXPECT_TRUE(filter.IsNodeValue("h"));       // bare configured host
+  EXPECT_TRUE(filter.IsNodeValue("h:1"));
+  EXPECT_FALSE(filter.IsNodeValue("h:"));     // empty port
+  EXPECT_FALSE(filter.IsNodeValue(":1"));     // empty host is not configured
+  EXPECT_FALSE(filter.IsNodeValue("h:1a"));   // port must be all digits
+  EXPECT_FALSE(filter.IsNodeValue("a:b:1"));  // the host is "a:b", split at the last colon
+  EXPECT_FALSE(filter.IsNodeValue("x"));      // unknown bare host
+  EXPECT_FALSE(filter.IsNodeValue("x:1"));    // unknown host with a port
+  EXPECT_FALSE(filter.IsNodeValue(""));
+  filter.hosts.insert("a:b");
+  EXPECT_TRUE(filter.IsNodeValue("a:b:1"));
+}
+
 OnlineFilter TwoHostFilter() {
   OnlineFilter filter;
   filter.hosts = {"node3", "node4"};
@@ -115,6 +131,17 @@ TEST(CustomStash, ReassociatesOnNewAnchor) {
   EXPECT_EQ(stash.Lookup("app_1").value(), "node3:42349");
   stash.Process({"app_1", "node4:42349"});
   EXPECT_EQ(stash.Lookup("app_1").value(), "node4:42349");
+}
+
+TEST(CustomStash, ValueAnchoredThroughItsOwnAssociationKeepsIt) {
+  // The anchor is the association of a value in the same instance, and pass
+  // 3 re-assigns that very association.
+  CustomStash stash(TwoHostFilter());
+  stash.Process({"container_3", "node3:42349"});
+  stash.Process({"container_3", "attempt_3", "container_3", ""});
+  EXPECT_EQ(stash.Lookup("container_3").value(), "node3:42349");
+  EXPECT_EQ(stash.Lookup("attempt_3").value(), "node3:42349");
+  EXPECT_EQ(stash.value_to_node().size(), 2u);  // the empty value is never a key
 }
 
 TEST(LogstashAgent, ForwardsOnlyFilteredArgsOfOwnNode) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -281,6 +283,92 @@ TEST_F(TracerTest, TriggerFiresExactlyOnceAtTheFirstArmedHit) {
   }
   tracer.set_stack_depth(CallStack::kMaxDepth);
   EXPECT_GT(fired_runs, 0);
+}
+
+// Frames with the same text as kFrames entries but at other addresses: the
+// profile cache keys on frame addresses, so equal-text frames must still
+// land on the one counter their shared key names.
+const char kHandlerReadCopy[] = "Handler.read";
+const char kACopy[] = "a";
+const char kEmptyCopy[] = "";
+const char* const kProfileFrames[] = {"a",    "ab", "b", "a<b", "<", "", "b<", "<ab",
+                                      "Handler.read", "Service.run", kHandlerReadCopy, kACopy,
+                                      kEmptyCopy};
+constexpr size_t kProfileFrameCount = sizeof(kProfileFrames) / sizeof(kProfileFrames[0]);
+
+TEST_F(TracerTest, CachedProfileCountsEqualTheStringPathOnRandomStacks) {
+  // The string path, kept here as the reference: every profiled hit counts
+  // ⟨point, CaptureStack().Key()⟩. Depths run past kMaxDepth (the depth
+  // ablation sweeps to 6), where the tracer falls back to that path.
+  auto& tracer = AccessTracer::Instance();
+  ctcommon::Rng rng(0xcac4e);
+  for (int depth = 1; depth <= CallStack::kMaxDepth + 1; ++depth) {
+    tracer.Reset(TraceMode::kProfile);
+    tracer.set_stack_depth(depth);
+    tracer.SetProfiledPoints({1, 2, 3}, {4, 5});
+    std::map<DynamicPoint, int> expected_access;
+    std::map<DynamicPoint, int> expected_io;
+    for (int hit = 0; hit < 3000; ++hit) {
+      const uint64_t height = rng.Uniform(0, 8);
+      for (uint64_t i = 0; i < height; ++i) {
+        tracer.PushFrame(kProfileFrames[rng.Index(kProfileFrameCount)]);
+      }
+      const std::string key = tracer.CaptureStack().Key();
+      const int point = static_cast<int>(rng.Uniform(0, 5));
+      switch (rng.Uniform(0, 3)) {
+        case 0:
+          tracer.PreRead(point, "v");
+          expected_access[{point, key}] += (point >= 1 && point <= 3) ? 1 : 0;
+          break;
+        case 1:
+          tracer.PostWrite(point, "v");
+          expected_access[{point, key}] += (point >= 1 && point <= 3) ? 1 : 0;
+          break;
+        case 2:
+          tracer.IoBegin(point);
+          expected_io[{point, key}] += (point == 4 || point == 5) ? 1 : 0;
+          break;
+        default:
+          tracer.IoEnd(point);  // end hooks are never profiled
+          break;
+      }
+      for (uint64_t i = 0; i < height; ++i) {
+        tracer.PopFrame();
+      }
+    }
+    for (auto* expected : {&expected_access, &expected_io}) {
+      for (auto it = expected->begin(); it != expected->end();) {
+        it = it->second == 0 ? expected->erase(it) : std::next(it);
+      }
+    }
+    EXPECT_EQ(tracer.dynamic_access_points(), expected_access) << "depth " << depth;
+    EXPECT_EQ(tracer.dynamic_io_points(), expected_io) << "depth " << depth;
+    EXPECT_FALSE(expected_access.empty());
+    EXPECT_FALSE(expected_io.empty());
+  }
+  tracer.set_stack_depth(CallStack::kMaxDepth);
+}
+
+TEST_F(TracerTest, EqualTextFramesAtDifferentAddressesShareOneDynamicPoint) {
+  auto& tracer = AccessTracer::Instance();
+  tracer.Reset(TraceMode::kProfile);
+  tracer.SetProfiledPoints({1}, {});
+  const char* const kFirst = "Handler.read";
+  for (const char* frame : {kFirst, kHandlerReadCopy, kFirst}) {
+    ScopedFrame scoped(frame);
+    tracer.PreRead(1, "v");
+  }
+  ASSERT_EQ(tracer.dynamic_access_points().size(), 1u);
+  EXPECT_EQ(tracer.dynamic_access_points().begin()->first.stack_key, "Handler.read");
+  EXPECT_EQ(tracer.dynamic_access_points().begin()->second, 3);
+  // Reset drops the cache with the counters it pointed into.
+  tracer.Reset(TraceMode::kProfile);
+  tracer.SetProfiledPoints({1}, {});
+  {
+    ScopedFrame scoped(kFirst);
+    tracer.PreRead(1, "v");
+  }
+  EXPECT_EQ(tracer.dynamic_access_points().begin()->second, 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository CI: warnings-as-errors build, tier-1 tests, the same in a
-# Release (-O3) tree, model lint, a jobs=1-vs-jobs=hw smoke of the parallel
-# injection campaign, then ASan+UBSan and TSan builds of the same tree (the
+# Release (-O3) tree, model lint, the repository benchmark's correctness
+# check, a jobs=1-vs-jobs=hw smoke of the parallel injection campaign and the
+# other bench smokes, then ASan+UBSan and TSan builds of the same tree (the
 # two sanitizers cannot share a build).
 # Run from the repository root:
 #   tools/ci.sh [--skip-sanitizers]
@@ -37,6 +38,17 @@ ctest --test-dir build-release --output-on-failure -j "$jobs"
 
 echo "== stage 3: model lint =="
 ./build/tools/ctlint --summary
+
+echo "== stage 3b: repository benchmark correctness (goldens, report digests, trace hashes) =="
+# The benchmark's own unit tests, then a one-second run of each workload.
+# run.py exits nonzero when any pipeline misses perfbench/reference.json
+# (pinned report digests and trace hashes) or a golden report, so a change
+# that moves one fails here rather than only when the benchmark is compared.
+# It runs before the wall-clock smokes, whose bars can trip on host noise.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+for workload in s1-golden s8 netfault-replay-s4; do
+  python3 perfbench/run.py --workload "$workload" --seed 2019 --seconds 1 --trace 0 | tail -n 1
+done
 
 echo "== stage 4: parallel campaign smoke (jobs=1 vs jobs=hw) =="
 # Times the Phase-2 campaign sequentially and at hardware concurrency and
