@@ -4,12 +4,6 @@
 //   $ ./build/examples/export_report /tmp/crashtuner-reports
 //
 // Flags:
-//   --representative           inject one crash point per static equivalence
-//                              class instead of the full dynamic point set
-//                              (reports gain an "equivalence" section);
-//   --validate-representative  inject the full set, partition it, and assert
-//                              per-class outcome equivalence (mismatch counts
-//                              land in the report's equivalence section);
 //   --static-only              enumerate contexts statically, no profiling;
 //   --jobs N                   campaign worker threads (0 = hardware);
 //   --scale N                  deployment scale multiplier: every system's
@@ -82,13 +76,6 @@ void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
       << ctanalysis::MetaInfoGraphToDot(report.log_result.graph);
   std::printf("%-14s -> %s.{md,json,dot}  (%zu bugs", report.system.c_str(),
               (directory / stem).c_str(), report.bugs.size());
-  if (report.equivalence.active) {
-    std::printf(", %d/%d points injected across %d classes", report.equivalence.injected,
-                report.equivalence.members, report.equivalence.classes);
-    if (report.equivalence.validation_mismatches > 0) {
-      std::printf(", %d VALIDATION MISMATCH(ES)", report.equivalence.validation_mismatches);
-    }
-  }
   if (report.fuzz.active) {
     std::printf(", fuzz: %d runs, corpus %d, %d new pair(s)", report.fuzz.runs,
                 report.fuzz.corpus_size, report.fuzz.new_pairs);
@@ -107,11 +94,7 @@ int main(int argc, char** argv) {
   std::filesystem::path dossier_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--representative") {
-      options.injection_selection = ctcore::InjectionSelection::kRepresentative;
-    } else if (arg == "--validate-representative") {
-      options.injection_selection = ctcore::InjectionSelection::kValidateRepresentative;
-    } else if (arg == "--static-only") {
+    if (arg == "--static-only") {
       options.context_mode = ctcore::ContextMode::kStaticOnly;
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.jobs = std::atoi(argv[++i]);
@@ -133,8 +116,7 @@ int main(int argc, char** argv) {
       }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr,
-                   "usage: export_report [DIR] [--representative | "
-                   "--validate-representative] [--static-only] [--jobs N] [--scale N] "
+                   "usage: export_report [DIR] [--static-only] [--jobs N] [--scale N] "
                    "[--fuzz N] [--corpus-dir DIR] [--dossier-dir DIR]\n");
       return 2;
     } else {

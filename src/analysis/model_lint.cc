@@ -8,7 +8,6 @@
 
 #include "src/analysis/call_graph.h"
 #include "src/analysis/crash_point_analysis.h"
-#include "src/analysis/equivalence.h"
 #include "src/common/strings.h"
 #include "src/logging/statement.h"
 
@@ -24,6 +23,46 @@ std::string PointSubject(const ctmodel::AccessPointDecl& point) {
 std::string IoPointSubject(const ctmodel::IoPointDecl& point) {
   return "io#" + std::to_string(point.id) + " (" + point.io_class + "." + point.io_method +
          " @ " + point.callsite + ")";
+}
+
+// Loop-index normalization: trailing decimal digits of a frame collapse to
+// '#' ("CapacityScheduler.nodeUpdate17" → "CapacityScheduler.nodeUpdate#").
+std::string CanonicalFrame(const std::string& frame) {
+  size_t end = frame.size();
+  while (end > 0 && std::isdigit(static_cast<unsigned char>(frame[end - 1]))) {
+    --end;
+  }
+  if (end == frame.size() || end == 0) {
+    return frame;  // no trailing digits, or digits-only (leave untouched)
+  }
+  return frame.substr(0, end) + "#";
+}
+
+// Static identity of an access-point decl, from model facts alone: two decls
+// with equal keys can never contribute distinct injection runs. The key
+// covers the crash-point kind, the declared site (verbatim: two lines of one
+// method can sit on different event arms), the accessed field's type, the
+// network-fault window anchored at the point (partition length and bug id),
+// and the recovery phase: the span name for the anchor method, or failing
+// that its digit-normalized frame, then the digit-normalized anchor frame.
+std::string DeclKey(const ctmodel::ProgramModel& model, const ctmodel::AccessPointDecl& point) {
+  std::string key = point.kind == ctmodel::AccessKind::kRead ? "pre-read" : "post-write";
+  key += "|" + point.clazz + "." + point.method + ":" + std::to_string(point.line);
+  const ctmodel::FieldDecl* field = model.FindField(point.field_id);
+  key += "|" + (field != nullptr ? field->type : point.field_id);
+  std::string window = "-";
+  for (const auto& decl : model.network_fault_windows()) {
+    if (decl.point == point.id) {
+      window = "w";
+      window.append(std::to_string(decl.partition_ms)).append(":").append(decl.bug_id);
+      break;
+    }
+  }
+  key += "|" + window;
+  const std::string anchor = ctmodel::ProgramModel::ContextMethodOf(point);
+  const ctmodel::SpanDecl* span = model.FindSpanForMethod(anchor);
+  key += "|" + (span != nullptr ? span->name : CanonicalFrame(anchor));
+  return key + "|" + CanonicalFrame(anchor);
 }
 
 // A decl token embeds a concrete node index when a node-role stem is followed
@@ -355,12 +394,10 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
     }
   }
 
-  // Equivalence-class duplicates: a decl whose static class key (equivalence.h
-  // over model facts alone — no inference result) repeats an earlier decl's can
+  // Equivalent duplicates: a decl whose DeclKey repeats an earlier decl's can
   // never contribute an injection run distinct from the first, so it is dead
   // weight the model should drop. Pairs compare unordered: declaring both
   // (A,B) and (B,A) is the classic instance.
-  const EquivalenceAnalysis equivalence(&model, /*metainfo=*/nullptr);
   std::map<std::string, std::string> first_by_key;
   auto flag_duplicate = [&](const std::string& key, const std::string& subject) {
     auto [it, inserted] = first_by_key.emplace(key, subject);
@@ -371,7 +408,7 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
   };
   for (const auto& point : model.access_points()) {
     if (point.executable) {
-      flag_duplicate("point|" + equivalence.DeclClassKey(point), PointSubject(point));
+      flag_duplicate("point|" + DeclKey(model, point), PointSubject(point));
     }
   }
   for (size_t i = 0; i < model.multi_crash_pairs().size(); ++i) {
@@ -380,8 +417,8 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
         pair.second_point >= num_points) {
       continue;  // static-pair-unreachable already reports the range violation
     }
-    std::string ka = equivalence.DeclClassKey(model.access_point(pair.first_point));
-    std::string kb = equivalence.DeclClassKey(model.access_point(pair.second_point));
+    std::string ka = DeclKey(model, model.access_point(pair.first_point));
+    std::string kb = DeclKey(model, model.access_point(pair.second_point));
     if (kb < ka) {
       std::swap(ka, kb);
     }
@@ -395,9 +432,9 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
       continue;  // network-window-invalid already reports the range violation
     }
     // The window's identity (partition length + bug id) is part of its anchor
-    // point's class key, so two windows collide only when both the anchor
+    // point's DeclKey, so two windows collide only when both the anchor
     // class and the declared fault coincide.
-    flag_duplicate("netwindow|" + equivalence.DeclClassKey(model.access_point(window.point)),
+    flag_duplicate("netwindow|" + DeclKey(model, model.access_point(window.point)),
                    "netwindow#" + std::to_string(i) + " (point " +
                        std::to_string(window.point) + ")");
   }

@@ -43,12 +43,13 @@
 //                        no ground truth to assert against)
 //   equivalent-crash-point-duplicate
 //                        executable access point, multi-crash pair, or
-//                        network-fault window whose static equivalence class
-//                        (equivalence.h, model facts only) repeats an earlier
-//                        declaration's — the duplicate can never contribute a
-//                        run distinct from the first and is a dead decl; pairs
-//                        compare unordered, so a (B,A) decl of a declared
-//                        (A,B) scenario is flagged
+//                        network-fault window whose static identity (kind,
+//                        declared site, field type, anchored fault window,
+//                        recovery-phase span or digit-normalized anchor frame)
+//                        repeats an earlier declaration's — the duplicate can
+//                        never contribute a run distinct from the first and is
+//                        a dead decl; pairs compare unordered, so a (B,A) decl
+//                        of a declared (A,B) scenario is flagged
 //   grammar-op-unknown-target
 //                        fuzz-grammar op whose RPC target is no declared
 //                        method, or whose crash/shutdown target class declares

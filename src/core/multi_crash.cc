@@ -1,6 +1,5 @@
 #include "src/core/multi_crash.h"
 
-#include <map>
 #include <memory>
 #include <set>
 
@@ -24,59 +23,6 @@ std::vector<CrashPairCandidate> EnumerateCrashPairs(const std::set<ctrt::Dynamic
     }
   }
   return pairs;
-}
-
-std::vector<CrashPairCandidate> EnumerateOrderedCrashPairs(
-    const std::set<ctrt::DynamicPoint>& points, long long max_pairs) {
-  std::vector<CrashPairCandidate> pairs;
-  if (max_pairs == 0) {
-    return pairs;
-  }
-  const std::vector<ctrt::DynamicPoint> ordered(points.begin(), points.end());
-  const size_t cap = max_pairs < 0 ? ordered.size() * ordered.size()
-                                   : static_cast<size_t>(max_pairs);
-  for (size_t i = 0; i < ordered.size() && pairs.size() < cap; ++i) {
-    for (size_t j = 0; j < ordered.size() && pairs.size() < cap; ++j) {
-      if (i == j) {
-        continue;
-      }
-      pairs.push_back({ordered[i], ordered[j]});
-    }
-  }
-  return pairs;
-}
-
-long long PairPartition::TotalPairs() const {
-  long long total = 0;
-  for (const auto& cls : classes) {
-    total += cls.size;
-  }
-  return total;
-}
-
-std::vector<CrashPairCandidate> PairPartition::Representatives() const {
-  std::vector<CrashPairCandidate> pairs;
-  pairs.reserve(classes.size());
-  for (const auto& cls : classes) {
-    pairs.push_back(cls.representative);
-  }
-  return pairs;
-}
-
-PairPartition PartitionCrashPairs(const std::vector<CrashPairCandidate>& pairs,
-                                  const ctanalysis::EquivalenceAnalysis& analysis) {
-  PairPartition partition;
-  std::map<std::string, size_t> index_by_key;
-  for (const CrashPairCandidate& pair : pairs) {
-    const std::string key = analysis.PairClassKey(pair.first, pair.second);
-    auto [it, inserted] = index_by_key.try_emplace(key, partition.classes.size());
-    if (inserted) {
-      partition.classes.push_back({key, pair, 1});
-    } else {
-      ++partition.classes[it->second].size;
-    }
-  }
-  return partition;
 }
 
 double PairSetCrossCheck::Recall() const {
@@ -199,8 +145,8 @@ MultiCrashReport MultiCrashTester::TestPairs(const ProfileResult& profile,
 namespace {
 
 // Content-derived pair seed: FNV-1a over both endpoints, mixed with the base
-// seed. Position-independent, so a pair runs the same simulation whether it
-// sits in the exhaustive walk or alone in a representative list.
+// seed. Position-independent, so a pair runs the same simulation whatever the
+// cap or the point set around it.
 uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](const std::string& text) {

@@ -178,8 +178,9 @@ CassArtifacts* Build() {
                  "gossip digest application on a peer"});
   model.AddSpan({"hints.store", "HintsService.write",
                  "hint storage for an unreachable replica"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name.
+  // Recovery-phase anchors of the remaining executable crash points: ctlint's
+  // window-without-span-anchor check looks them up, and the component span of
+  // an injection at such a point carries the span name.
   model.AddSpan({"coordinator.read", "StorageProxy.readRegular",
                  "coordinator read against the replica ring"});
   // Component span on its own anchor method (no existing injection anchor

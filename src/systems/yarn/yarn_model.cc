@@ -639,8 +639,9 @@ void BuildSpans(YarnArtifacts* artifacts) {
                  "NM (re-)registration with the tracker"});
   model.AddSpan({"rm.allocate-opportunistic", "OpportunisticContainerAllocator.allocateNodes",
                  "opportunistic allocation over the candidate node set"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name (falling back to the raw
+  // Recovery-phase anchors of the remaining executable crash points: ctlint's
+  // window-without-span-anchor check looks them up, and the component span of
+  // an injection at such a point carries the span name instead of the raw
   // frame), so every injectable anchor gets the model's vocabulary.
   model.AddSpan({"rm.complete-container", "AbstractYarnScheduler.completeContainer",
                  "scheduler-side container completion bookkeeping"});

@@ -527,6 +527,70 @@ TEST(ModelLint, FlagsInconsistentIoPoints) {
   EXPECT_EQ(result.CountOf("unreachable-io-point"), 1);
 }
 
+// --- Linter: equivalent-crash-point-duplicate -------------------------------
+
+// A minimal well-formed model: one entry method, one field, and knobs to add
+// duplicate and non-duplicate declarations.
+ctmodel::ProgramModel LintModelBase() {
+  ctmodel::ProgramModel model("lint");
+  ctmodel::TypeDecl node_id;
+  node_id.name = "NodeId";
+  model.AddType(node_id);
+  ctmodel::FieldDecl field;
+  field.id = "Holder.node";
+  field.clazz = "Holder";
+  field.name = "node";
+  field.type = "NodeId";
+  model.AddField(field);
+  ctmodel::MethodDecl method;
+  method.clazz = "Server";
+  method.name = "rpc";
+  method.entry_point = true;
+  model.AddMethod(method);
+  return model;
+}
+
+ctmodel::AccessPointDecl LintPoint(int line) {
+  ctmodel::AccessPointDecl point;
+  point.field_id = "Holder.node";
+  point.kind = ctmodel::AccessKind::kRead;
+  point.clazz = "Server";
+  point.method = "rpc";
+  point.line = line;
+  point.executable = true;
+  return point;
+}
+
+TEST(Lint, FlagsEquivalentDuplicatePointsAndPairs) {
+  ctmodel::ProgramModel model = LintModelBase();
+  model.AddAccessPoint(LintPoint(10));
+  model.AddAccessPoint(LintPoint(20));  // distinct site: not a duplicate
+  model.AddAccessPoint(LintPoint(10));  // same class key as the first: dead
+  // Unordered pair symmetry: declaring both orders is one dead declaration.
+  model.AddMultiCrashPair({0, 1, "window"});
+  model.AddMultiCrashPair({1, 0, "window, reversed"});
+  ctanalysis::LintResult result = ctanalysis::LintModel(model);
+  EXPECT_EQ(result.CountOf("equivalent-crash-point-duplicate"), 2);
+}
+
+TEST(Lint, CleanModelHasNoDuplicates) {
+  ctmodel::ProgramModel model = LintModelBase();
+  model.AddAccessPoint(LintPoint(10));
+  model.AddAccessPoint(LintPoint(20));
+  model.AddMultiCrashPair({0, 1, "window"});
+  ctanalysis::LintResult result = ctanalysis::LintModel(model);
+  EXPECT_EQ(result.CountOf("equivalent-crash-point-duplicate"), 0);
+}
+
+TEST(Lint, ShippedModelsHaveNoDuplicates) {
+  EXPECT_EQ(ctanalysis::LintModel(ctyarn::YarnSystem().model())
+                .CountOf("equivalent-crash-point-duplicate"),
+            0);
+  EXPECT_EQ(ctanalysis::LintModel(ctzk::ZkSystem().model())
+                .CountOf("equivalent-crash-point-duplicate"),
+            0);
+}
+
 // --- Table 3 keyword edge cases ---------------------------------------------
 
 TEST(CollectionKeywords, PrefixMatchingIsCaseInsensitive) {
