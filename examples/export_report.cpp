@@ -9,11 +9,6 @@
 //   --scale N                  deployment scale multiplier: every system's
 //                              replicated-role count and workload size grow
 //                              N-fold (1 = the paper's deployment);
-//   --fuzz N                   after the pipeline, run an N-run coverage-
-//                              guided workload-fuzzing phase per system
-//                              (reports gain a "fuzz" section);
-//   --corpus-dir DIR           save each system's fuzz corpus under
-//                              DIR/<system>/ (implies nothing without --fuzz);
 //   --dossier-dir DIR          observe the campaigns and write one
 //                              crashtuner-dossier-v1 JSON per failing run as
 //                              DIR/<system>-slot<N>.json (src/obs/dossier.h).
@@ -25,7 +20,6 @@
 #include "src/analysis/log_analysis.h"
 #include "src/core/crashtuner.h"
 #include "src/core/report_writer.h"
-#include "src/fuzz/fuzz_phase.h"
 #include "src/obs/observer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
@@ -36,9 +30,7 @@
 namespace {
 
 void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& base_options,
-            const std::filesystem::path& directory, int fuzz_runs,
-            const std::filesystem::path& corpus_dir,
-            const std::filesystem::path& dossier_dir) {
+            const std::filesystem::path& directory, const std::filesystem::path& dossier_dir) {
   ctcore::CrashTunerDriver driver;
   ctcore::DriverOptions options = base_options;
   ctobs::CampaignObserver observer;
@@ -59,28 +51,12 @@ void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
           << dossier.ToJson() << "\n";
     }
   }
-  if (fuzz_runs > 0) {
-    ctfuzz::FuzzPhaseOptions fuzz_options;
-    fuzz_options.runs = fuzz_runs;
-    fuzz_options.seed = options.seed;
-    fuzz_options.jobs = options.jobs;
-    fuzz_options.observer = options.observer;
-    if (!corpus_dir.empty()) {
-      fuzz_options.corpus_dir = (corpus_dir / stem).string();
-    }
-    ctfuzz::RunFuzzPhase(system, &report, fuzz_options);
-  }
   std::ofstream(directory / (stem + ".md")) << ctcore::ReportToMarkdown(report);
   std::ofstream(directory / (stem + ".json")) << ctcore::ReportToJson(report);
   std::ofstream(directory / (stem + ".dot"))
       << ctanalysis::MetaInfoGraphToDot(report.log_result.graph);
-  std::printf("%-14s -> %s.{md,json,dot}  (%zu bugs", report.system.c_str(),
+  std::printf("%-14s -> %s.{md,json,dot}  (%zu bugs)\n", report.system.c_str(),
               (directory / stem).c_str(), report.bugs.size());
-  if (report.fuzz.active) {
-    std::printf(", fuzz: %d runs, corpus %d, %d new pair(s)", report.fuzz.runs,
-                report.fuzz.corpus_size, report.fuzz.new_pairs);
-  }
-  std::printf(")\n");
 }
 
 }  // namespace
@@ -89,8 +65,6 @@ int main(int argc, char** argv) {
   std::filesystem::path directory = "/tmp/crashtuner-reports";
   ctcore::DriverOptions options;
   int scale = 1;
-  int fuzz_runs = 0;
-  std::filesystem::path corpus_dir;
   std::filesystem::path dossier_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,14 +72,6 @@ int main(int argc, char** argv) {
       options.context_mode = ctcore::ContextMode::kStaticOnly;
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.jobs = std::atoi(argv[++i]);
-    } else if (arg == "--fuzz" && i + 1 < argc) {
-      fuzz_runs = std::atoi(argv[++i]);
-      if (fuzz_runs < 1) {
-        std::fprintf(stderr, "--fuzz must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--corpus-dir" && i + 1 < argc) {
-      corpus_dir = argv[++i];
     } else if (arg == "--dossier-dir" && i + 1 < argc) {
       dossier_dir = argv[++i];
     } else if (arg == "--scale" && i + 1 < argc) {
@@ -117,7 +83,7 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr,
                    "usage: export_report [DIR] [--static-only] [--jobs N] [--scale N] "
-                   "[--fuzz N] [--corpus-dir DIR] [--dossier-dir DIR]\n");
+                   "[--dossier-dir DIR]\n");
       return 2;
     } else {
       directory = arg;
@@ -136,7 +102,7 @@ int main(int argc, char** argv) {
   for (ctcore::SystemUnderTest* system :
        std::initializer_list<ctcore::SystemUnderTest*>{&yarn, &hdfs, &hbase, &zk, &cass}) {
     system->set_scale(scale);
-    Export(*system, options, directory, fuzz_runs, corpus_dir, dossier_dir);
+    Export(*system, options, directory, dossier_dir);
   }
   return 0;
 }

@@ -332,37 +332,17 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
                  window.point);
   }
 
-  // Component attribution must be grounded both ways: a span's component must
-  // name a class that can actually appear on a stack (otherwise `ctstat --top`
-  // charges dwell to a phantom role), and every replicated role the fuzz
-  // grammar kills or shuts down must own at least one component span
-  // (otherwise its recovery sweeps are invisible to the profiler).
-  std::set<std::string> span_components;
+  // A span's component must name a class that can actually appear on a stack
+  // (otherwise `ctstat --top` charges dwell to a phantom role).
   for (size_t i = 0; i < model.spans().size(); ++i) {
     const ctmodel::SpanDecl& span = model.spans()[i];
-    if (span.component.empty()) {
-      continue;
-    }
-    span_components.insert(span.component);
-    if (model.MethodsOf(span.component).empty()) {
+    if (!span.component.empty() && model.MethodsOf(span.component).empty()) {
       report("component-without-span",
              "span#" + std::to_string(i) + " ('" + span.name + "')",
              "component '" + span.component + "' names no declared class with "
              "methods — dwell would be attributed to a role that cannot appear "
              "on any stack");
     }
-  }
-  for (const auto& op : model.grammar_ops()) {
-    if (op.kind != ctmodel::GrammarOpKind::kCrash &&
-        op.kind != ctmodel::GrammarOpKind::kShutdown) {
-      continue;
-    }
-    if (op.target_class.empty() || span_components.count(op.target_class) > 0) {
-      continue;
-    }
-    report("component-without-span", "grammar-op '" + op.name + "'",
-           "killed role '" + op.target_class + "' has no component span — its "
-           "recovery sweeps would be invisible to ctstat --top");
   }
 
   // Scale invariance: declarations must not embed concrete node indices or
@@ -437,47 +417,6 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
     flag_duplicate("netwindow|" + DeclKey(model, model.access_point(window.point)),
                    "netwindow#" + std::to_string(i) + " (point " +
                        std::to_string(window.point) + ")");
-  }
-
-  // Grammar ops must target the declared program model: an RPC op's
-  // target_method anchors the generated message in a declared handler (a typo
-  // yields an op no node ever handles, silently weakening every fuzz
-  // campaign), and a crash/shutdown op's target_class names the role being
-  // killed, which must declare methods. Malformed shape — duplicate or empty
-  // names, no victim prefix, a non-positive weight, an empty firing window —
-  // is reported under the same check: each makes the op undrawable or
-  // untargetable.
-  std::set<std::string> grammar_op_names;
-  for (const auto& op : model.grammar_ops()) {
-    const std::string subject = "grammar-op '" + op.name + "'";
-    if (op.name.empty()) {
-      report("grammar-op-unknown-target", subject, "op has an empty name");
-    } else if (!grammar_op_names.insert(op.name).second) {
-      report("grammar-op-unknown-target", subject, "op name is declared more than once");
-    }
-    if (op.target_prefix.empty()) {
-      report("grammar-op-unknown-target", subject,
-             "no target_prefix to draw a victim node from");
-    }
-    if (op.weight < 1) {
-      report("grammar-op-unknown-target", subject,
-             "weight " + std::to_string(op.weight) + " can never be drawn");
-    }
-    if (op.max_time_ms <= op.min_time_ms) {
-      report("grammar-op-unknown-target", subject,
-             "firing window [" + std::to_string(op.min_time_ms) + ", " +
-                 std::to_string(op.max_time_ms) + ") is empty");
-    }
-    if (op.kind == ctmodel::GrammarOpKind::kRpc) {
-      if (model.FindMethod(op.target_method) == nullptr) {
-        report("grammar-op-unknown-target", subject,
-               "target method '" + op.target_method + "' is not a declared method");
-      }
-    } else if (model.MethodsOf(op.target_class).empty()) {
-      report("grammar-op-unknown-target", subject,
-             "target class '" + op.target_class + "' declares no methods — not a role "
-             "the grammar can kill");
-    }
   }
 
   // IO points get the same treatment as access points: their method pair must

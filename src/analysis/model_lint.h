@@ -50,12 +50,9 @@
 //                        never contribute a run distinct from the first and is
 //                        a dead decl; pairs compare unordered, so a (B,A) decl
 //                        of a declared (A,B) scenario is flagged
-//   grammar-op-unknown-target
-//                        fuzz-grammar op whose RPC target is no declared
-//                        method, or whose crash/shutdown target class declares
-//                        no methods — the generated op would be unroutable;
-//                        also malformed shape (duplicate/empty name, missing
-//                        victim prefix, non-positive weight, empty window)
+//   scale-invariant-decl access point or span whose class, method or name
+//                        embeds a concrete node index ("rserver3.open") — it
+//                        would match only one member of a scaled deployment
 //   window-without-span-anchor
 //                        malformed span declaration (empty or duplicate name,
 //                        undeclared method), or a declared fault window —
@@ -67,11 +64,7 @@
 //   component-without-span
 //                        span declaring a component that names no declared
 //                        class with methods (the profiler would attribute
-//                        dwell to a role that cannot appear on any stack), or
-//                        a replicated role the fuzz grammar kills/shuts down
-//                        (a crash/shutdown op's target_class) with no
-//                        component span at all — its recovery sweeps would be
-//                        invisible to `ctstat --top`
+//                        dwell to a role that cannot appear on any stack)
 //
 // `tools/ctlint` runs this over all five shipped models in CI.
 #ifndef SRC_ANALYSIS_MODEL_LINT_H_

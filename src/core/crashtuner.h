@@ -41,23 +41,6 @@ struct DetectedBug {
   RunOutcome sample_outcome;
 };
 
-// Summary of a coverage-guided workload-fuzzing phase (src/fuzz/). Inactive
-// (all zeros) unless the driver tool ran with --fuzz N, so default reports
-// are unchanged byte-for-byte.
-struct FuzzSummary {
-  bool active = false;
-  int runs = 0;               // fuzz runs executed
-  int corpus_size = 0;        // workloads kept (reached new coverage)
-  int baseline_pairs = 0;     // dynamic points of the fixed workload script
-  int coverage_pairs = 0;     // baseline ∪ fuzz-discovered
-  int new_pairs = 0;          // discovered beyond the fixed script
-  int new_coverage_runs = 0;  // runs contributing >= 1 new pair
-  int bug_runs = 0;           // fuzz runs with an oracle bug verdict
-  // FNV mix of per-fuzz-run trace hashes in global run-index order; equal
-  // hashes mean schedule-identical fuzz campaigns (any --jobs level).
-  uint64_t trace_hash = 0;
-};
-
 struct SystemReport {
   std::string system;
 
@@ -96,8 +79,6 @@ struct SystemReport {
   // order: a fingerprint of every event the campaign scheduled. Two reports
   // with equal trace hashes ran schedule-identical campaigns.
   uint64_t trace_hash = 0;
-
-  FuzzSummary fuzz;
 
   ctanalysis::LogAnalysisResult log_result;
   ctanalysis::MetaInfoResult metainfo;

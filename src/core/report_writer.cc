@@ -63,13 +63,6 @@ std::string ReportToMarkdown(const SystemReport& report) {
         << report.static_infeasible_points << " infeasible, "
         << report.static_pruned_call_strings << " call strings pruned).\n\n";
   }
-  if (report.fuzz.active) {
-    out << "Workload fuzzing: " << report.fuzz.runs << " runs, corpus " << report.fuzz.corpus_size
-        << ", coverage " << report.fuzz.coverage_pairs << " pairs (" << report.fuzz.baseline_pairs
-        << " from the fixed script, " << report.fuzz.new_pairs << " fuzz-only), "
-        << report.fuzz.bug_runs << " bug run(s). Fuzz trace hash: "
-        << TraceHashHex(report.fuzz.trace_hash) << ".\n\n";
-  }
   out << "Times: analysis " << report.analysis_wall_seconds << " s wall, profiling "
       << report.profile_virtual_seconds << " virtual s, testing " << report.test_virtual_hours
       << " virtual h (" << report.test_wall_seconds << " s wall).\n\n";
@@ -124,18 +117,6 @@ std::string ReportToJson(const SystemReport& report) {
       << ",\"profile_virtual_s\":" << report.profile_virtual_seconds
       << ",\"test_virtual_h\":" << report.test_virtual_hours << "},";
   out << "\"trace_hash\":\"" << TraceHashHex(report.trace_hash) << "\",";
-  // Emitted only when a fuzz phase ran (--fuzz N): default reports and their
-  // goldens serialize exactly as before.
-  if (report.fuzz.active) {
-    out << "\"fuzz\":{\"runs\":" << report.fuzz.runs
-        << ",\"corpus_size\":" << report.fuzz.corpus_size
-        << ",\"baseline_pairs\":" << report.fuzz.baseline_pairs
-        << ",\"coverage_pairs\":" << report.fuzz.coverage_pairs
-        << ",\"new_pairs\":" << report.fuzz.new_pairs
-        << ",\"new_coverage_runs\":" << report.fuzz.new_coverage_runs
-        << ",\"bug_runs\":" << report.fuzz.bug_runs << ",\"trace_hash\":\""
-        << TraceHashHex(report.fuzz.trace_hash) << "\"},";
-  }
   out << "\"bugs\":[";
   for (size_t i = 0; i < report.bugs.size(); ++i) {
     const auto& bug = report.bugs[i];

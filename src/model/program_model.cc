@@ -58,17 +58,6 @@ void ProgramModel::AddNetworkFaultWindow(NetworkFaultWindowDecl window) {
 
 void ProgramModel::AddSpan(SpanDecl span) { spans_.push_back(std::move(span)); }
 
-void ProgramModel::AddGrammarOp(GrammarOpDecl op) { grammar_ops_.push_back(std::move(op)); }
-
-const GrammarOpDecl* ProgramModel::FindGrammarOp(const std::string& name) const {
-  for (const auto& op : grammar_ops_) {
-    if (op.name == name) {
-      return &op;
-    }
-  }
-  return nullptr;
-}
-
 const SpanDecl* ProgramModel::FindSpanForMethod(const std::string& method) const {
   for (const auto& span : spans_) {
     if (span.method == method) {

@@ -157,7 +157,7 @@ struct NetworkFaultWindowDecl {
 // name the `component` (a declared role class, e.g. "QuorumPeer") whose hot
 // path it covers: component spans are what the virtual-time profiler
 // attributes dwell to, and ctlint's component-without-span check requires
-// the class to exist and every fuzz-killable role to have one.
+// the class to exist and declare methods.
 struct SpanDecl {
   SpanDecl() = default;
   SpanDecl(std::string name, std::string method, std::string note,
@@ -168,39 +168,6 @@ struct SpanDecl {
   std::string method;     // anchor frame, "Class.method"
   std::string note;       // what the phase covers (docs only)
   std::string component;  // role class whose hot path this span covers ("")
-};
-
-// How a fuzz-grammar op acts on the running cluster.
-enum class GrammarOpKind {
-  kRpc,       // post a message to a node drawn from target_prefix
-  kCrash,     // fail-stop a node drawn from target_prefix
-  kShutdown,  // graceful decommission of a node drawn from target_prefix
-};
-
-// One production of the per-system workload-fuzzing grammar (submit / kill /
-// decommission / flush / leader-churn / ...). The generator draws ops by
-// weight, picks a firing time inside [min_time_ms, max_time_ms], and resolves
-// the victim node by ordinal among the live nodes whose id starts with
-// target_prefix — so an op is meaningful at any --scale level. For kRpc the
-// verb is the method-name part of target_method, which must be a declared
-// handler (ctlint's grammar-op-unknown-target check); for node ops
-// target_class names the role being killed, which must be a declared class.
-struct GrammarOpDecl {
-  std::string name;           // e.g. "yarn.kill-worker"; unique per model
-  GrammarOpKind kind = GrammarOpKind::kRpc;
-  std::string target_method;  // kRpc: handler MethodDecl id ("Class.method")
-  std::string rpc_verb;       // kRpc: wire verb; method-name part if empty
-  std::string target_class;   // kCrash/kShutdown: role class of the victim
-  std::string target_prefix;  // node-id prefix the op picks its target from
-  // kRpc payload template; "%NODE%" substitutes the node id drawn from
-  // arg_prefix (target_prefix if empty), "%MAG%" the drawn magnitude.
-  std::vector<std::pair<std::string, std::string>> args;
-  std::string arg_prefix;
-  int weight = 1;              // relative draw weight within the grammar
-  uint64_t min_time_ms = 500;  // firing window in virtual ms after Start()
-  uint64_t max_time_ms = 15000;
-  int max_magnitude = 1;  // %MAG% drawn uniformly from [1, max_magnitude]
-  std::string note;       // what the op exercises (docs only)
 };
 
 class ProgramModel {
@@ -222,7 +189,6 @@ class ProgramModel {
   void AddMultiCrashPair(MultiCrashPairDecl pair);
   void AddNetworkFaultWindow(NetworkFaultWindowDecl window);
   void AddSpan(SpanDecl span);
-  void AddGrammarOp(GrammarOpDecl op);
 
   // --- Queries -------------------------------------------------------------
   const TypeDecl* FindType(const std::string& name) const;
@@ -237,9 +203,6 @@ class ProgramModel {
 
   // First span declared for `method`, or null.
   const SpanDecl* FindSpanForMethod(const std::string& method) const;
-
-  // Grammar op by name, or null.
-  const GrammarOpDecl* FindGrammarOp(const std::string& name) const;
 
   // True if `name` equals `ancestor` or transitively extends it.
   bool IsSubtypeOf(const std::string& name, const std::string& ancestor) const;
@@ -267,7 +230,6 @@ class ProgramModel {
     return network_fault_windows_;
   }
   const std::vector<SpanDecl>& spans() const { return spans_; }
-  const std::vector<GrammarOpDecl>& grammar_ops() const { return grammar_ops_; }
 
   // Table 10 / Table 8 totals.
   int NumTypes() const { return static_cast<int>(types_.size()); }
@@ -281,7 +243,6 @@ class ProgramModel {
   int NumMultiCrashPairs() const { return static_cast<int>(multi_crash_pairs_.size()); }
   int NumNetworkFaultWindows() const { return static_cast<int>(network_fault_windows_.size()); }
   int NumSpans() const { return static_cast<int>(spans_.size()); }
-  int NumGrammarOps() const { return static_cast<int>(grammar_ops_.size()); }
 
  private:
   std::string system_name_;
@@ -299,7 +260,6 @@ class ProgramModel {
   std::vector<MultiCrashPairDecl> multi_crash_pairs_;
   std::vector<NetworkFaultWindowDecl> network_fault_windows_;
   std::vector<SpanDecl> spans_;
-  std::vector<GrammarOpDecl> grammar_ops_;
 };
 
 }  // namespace ctmodel

@@ -3,7 +3,7 @@
 // The injection campaign is embarrassingly parallel, and so is its
 // measurement: every run writes counters, gauges and fixed-bucket histograms
 // into its own shard, and shards are merged strictly in slot (injection
-// index) order after the pool drains — the same discipline campaign.h uses
+// index) order after the threads join — the same discipline campaign.h uses
 // for results. Because every recorded value is derived from simulator events
 // (virtual time, message counts), the aggregate is byte-identical at any
 // --jobs count; wall-clock data is kept *outside* the shard (see

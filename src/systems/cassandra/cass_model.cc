@@ -184,67 +184,10 @@ CassArtifacts* Build() {
   model.AddSpan({"coordinator.read", "StorageProxy.readRegular",
                  "coordinator read against the replica ring"});
   // Component span on its own anchor method (no existing injection anchor
-  // changes): one gossip fan-out round, the role the fuzz grammar kills.
+  // changes): one gossip fan-out round, so `ctstat --top` attributes gossip
+  // dwell to the Gossiper role.
   model.AddSpan({"gossip-round", "Gossiper.gossipRound",
                  "one gossip digest fan-out round across the seeds", "Gossiper"});
-
-  // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
-  // the class whose recovery logic the fault exercises (ctlint's
-  // grammar-op-unknown-target keeps both honest).
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "cass.mutate";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "StorageProxy.performWrite";
-    op.rpc_verb = "mutate";
-    op.target_prefix = "cass";
-    op.args = {{"key", "fuzz%MAG%"}, {"val", "fz"}};
-    op.max_magnitude = 9;
-    op.weight = 3;
-    op.min_time_ms = 3500;
-    op.max_time_ms = 8000;
-    op.note = "extra write through an arbitrary coordinator";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "cass.hinted-mutate";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "StorageProxy.performWrite";
-    op.rpc_verb = "hintedMutate";
-    op.target_prefix = "cass";
-    op.args = {{"key", "fuzz%MAG%"}, {"val", "fz"}};
-    op.max_magnitude = 9;
-    op.weight = 3;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 5000;
-    op.note = "blocking write whose endpoint dispatch straddles a gossip death";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "cass.kill-node";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "Gossiper";
-    op.target_prefix = "cass";
-    op.weight = 3;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 3500;
-    op.note = "fail-stop a node; gossip marks it dead and hints accumulate";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "cass.decommission";
-    op.kind = ctmodel::GrammarOpKind::kShutdown;
-    op.target_class = "Gossiper";
-    op.target_prefix = "cass";
-    op.weight = 2;
-    op.min_time_ms = 2000;
-    op.max_time_ms = 9000;
-    op.note = "graceful leave announcing itself through gossip";
-    model.AddGrammarOp(op);
-  }
   return artifacts;
 }
 

@@ -60,7 +60,6 @@ CassNode::CassNode(ctsim::Cluster* cluster, std::string id, std::vector<std::str
   });
   Handle("leaving", [this](const Message& m) { gossip_fd_->NotifyLeft(m.from); });
   Handle("mutate", [this](const Message& m) { Mutate(m); });
-  Handle("hintedMutate", [this](const Message& m) { MutateHinted(m); });
   Handle("writeRow", [this](const Message& m) {
     CT_FRAME("Keyspace.apply");
     CT_IO_BEGIN(artifacts_->io.commitlog_append_io);
@@ -107,39 +106,6 @@ void CassNode::PeerDown(const std::string& peer) {
   std::erase(ring_, peer);
   downed_peers_[peer] = this->cluster().loop().Now();
   log().Log(artifacts_->stmts.node_down, {peer});
-}
-
-void CassNode::MutateHinted(const Message& m) {
-  // Blocking write used by the fuzz grammar: the replica set is resolved up
-  // front, but the per-endpoint dispatch only runs after the write timeout —
-  // CA-15131's actual gap. A replica that gossip marks dead inside that gap
-  // is hinted instead of written, which the synchronous Mutate path above
-  // can never do (its resolution and liveness check read the same ring).
-  CT_FRAME("StorageProxy.performWrite");
-  const std::string key = m.Arg("key");
-  const std::string val = m.Arg("val");
-  const std::vector<std::string> replicas = ReplicasFor(key);
-  After(config_->fd_timeout_ms + 2 * config_->fd_sweep_ms, [this, replicas, key, val] {
-    CT_FRAME("StorageProxy.performWrite");
-    for (const std::string& replica : replicas) {
-      if (replica == id()) {
-        CT_FRAME("Keyspace.apply");
-        CT_IO_BEGIN(artifacts_->io.commitlog_append_io);
-        CT_IO_END(artifacts_->io.commitlog_append_io);
-        data_[key] = val;
-        log().Log(artifacts_->stmts.key_written, {key, replica});
-        continue;
-      }
-      if (std::find(ring_.begin(), ring_.end(), replica) == ring_.end()) {
-        CT_FRAME("HintsService.write");
-        hints_[replica] = key;
-        CT_POST_WRITE(artifacts_->points.hint_store_write, replica);
-        log().Log(artifacts_->stmts.hint_written, {replica});
-        continue;
-      }
-      Send(replica, "writeRow", {{"key", key}, {"val", val}, {"client", "fuzzer"}});
-    }
-  });
 }
 
 std::vector<std::string> CassNode::ReplicasFor(const std::string& key) {

@@ -34,7 +34,6 @@ class CassNode : public ctsim::Node {
 
  private:
   void Mutate(const ctsim::Message& m);
-  void MutateHinted(const ctsim::Message& m);
   void PeerDown(const std::string& peer);
   std::vector<std::string> ReplicasFor(const std::string& key);
 

@@ -243,79 +243,11 @@ HBaseArtifacts* Build() {
                  "replication peer list refresh from ZK"});
   // Component span on its own anchor method (keeping the existing
   // ServerCrashProcedure.execute injection anchor untouched): one full
-  // crash-procedure sweep on the master, the role the fuzz grammar kills.
+  // crash-procedure sweep on the master, so `ctstat --top` attributes
+  // dead-RS recovery dwell to it.
   model.AddSpan({"master.server-crash-procedure", "ServerCrashProcedure.expireServer",
                  "master-side crash procedure recovering a dead RS's regions",
                  "ServerCrashProcedure"});
-
-  // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
-  // the class whose recovery logic the fault exercises (ctlint's
-  // grammar-op-unknown-target keeps both honest).
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hbase.cluster-status";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "MasterRpcServices.getClusterStatus";
-    op.rpc_verb = "clusterStatus";
-    op.target_prefix = "hmaster";
-    op.weight = 2;
-    op.min_time_ms = 2000;
-    op.max_time_ms = 20000;
-    op.note = "status scan racing online-set mutations";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hbase.expire-rs";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "ServerCrashProcedure.execute";
-    op.rpc_verb = "rsExpired";
-    op.target_prefix = "hmaster";
-    op.args = {{"rs", "%NODE%"}};
-    op.arg_prefix = "rserver";
-    op.weight = 2;
-    op.min_time_ms = 4000;
-    op.max_time_ms = 18000;
-    op.note = "forced session expiry: crash procedure against a live RS";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hbase.force-balance";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "MasterRpcServices.balance";
-    op.rpc_verb = "balance";
-    op.target_prefix = "hmaster";
-    op.weight = 2;
-    op.min_time_ms = 3000;
-    op.max_time_ms = 18000;
-    op.note = "off-schedule balancer scan; races server-crash recovery";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hbase.kill-rs";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "ServerCrashProcedure";
-    op.target_prefix = "rserver";
-    op.weight = 3;
-    op.min_time_ms = 4000;
-    op.max_time_ms = 18000;
-    op.note = "fail-stop an RS; regions reassign via the crash procedure";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hbase.stop-rs";
-    op.kind = ctmodel::GrammarOpKind::kShutdown;
-    op.target_class = "ServerCrashProcedure";
-    op.target_prefix = "rserver";
-    op.weight = 2;
-    op.min_time_ms = 4000;
-    op.max_time_ms = 18000;
-    op.note = "graceful RS stop closing its ZK session first";
-    model.AddGrammarOp(op);
-  }
   return artifacts;
 }
 

@@ -95,7 +95,6 @@ HMaster::HMaster(ctsim::Cluster* cluster, std::string id, const HBaseArtifacts* 
     }
   });
   Handle("locate", [this](const Message& m) { Locate(m); });
-  Handle("balance", [this](const Message& m) { ForceBalance(m); });
   Handle("clusterStatus", [this](const Message& m) {
     CT_FRAME("MasterRpcServices.getClusterStatus");
     int live = 0;
@@ -281,14 +280,6 @@ void HMaster::Locate(const Message& m) {
     return;
   }
   Send(m.from, "location", {{"region", m.Arg("region")}, {"rs", it->second.server}});
-}
-
-void HMaster::ForceBalance(const ctsim::Message&) {
-  // Admin-triggered balance (the fuzz grammar's force-balance op): same scan
-  // as the chore, but under the RPC service frame — an off-schedule run that
-  // can land while a server-crash procedure still has regions RECOVERING.
-  CT_FRAME("MasterRpcServices.balance");
-  BalancerChore();
 }
 
 void HMaster::BalancerChore() {

@@ -77,7 +77,6 @@ class HMaster : public ctsim::Node {
   void AssignRegion(const std::string& region, const std::string& rs, bool rebalance);
   void ServerCrashProcedure(const std::string& rs);
   void Locate(const ctsim::Message& m);
-  void ForceBalance(const ctsim::Message& m);
   void BalancerChore();
   void StuckRegionChore();
   std::string PickServer(const std::string& exclude);

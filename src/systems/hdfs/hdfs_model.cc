@@ -237,92 +237,6 @@ HdfsArtifacts* Build() {
   // anchor changes): the active NameNode's HA heartbeat sweep.
   model.AddSpan({"nn.ha-heartbeat", "FSNamesystem.haHeartbeat",
                  "active NameNode heartbeat round toward the standby", "FSNamesystem"});
-
-  // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
-  // the class whose recovery logic the fault exercises (ctlint's
-  // grammar-op-unknown-target keeps both honest).
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.create-file";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "FSNamesystem.startFile";
-    op.rpc_verb = "createFile";
-    op.target_prefix = "namenode";
-    op.args = {{"file", "/fuzz/io_data/extra_%MAG%"}, {"index", "%MAG%"}};
-    op.max_magnitude = 4;
-    op.weight = 2;
-    op.min_time_ms = 4000;
-    op.max_time_ms = 12000;
-    op.note = "extra write competing with TestDFSIO for block placement";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.locate-blocks";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "FSNamesystem.getBlockLocations";
-    op.rpc_verb = "getBlockLocations";
-    op.target_prefix = "namenode";
-    op.args = {{"file", "/fuzz/io_data/extra_%MAG%"}};
-    op.max_magnitude = 4;
-    op.weight = 1;
-    op.min_time_ms = 5000;
-    op.max_time_ms = 14000;
-    op.note = "read-path location lookup against unrevalidated replicas";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.fs-status";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "FSNamesystem.getFsStatus";
-    op.rpc_verb = "getFsStatus";
-    op.target_prefix = "namenode";
-    op.weight = 2;
-    op.min_time_ms = 1000;
-    op.max_time_ms = 14000;
-    op.note = "status scan over the inode table";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.decommission-dn";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "DatanodeManager.removeDeadDatanode";
-    op.rpc_verb = "unregisterDatanode";
-    op.target_prefix = "namenode";
-    op.args = {{"dn", "%NODE%"}};
-    op.arg_prefix = "dnode";
-    op.weight = 2;
-    op.min_time_ms = 3000;
-    op.max_time_ms = 10000;
-    op.note = "administrative decommission through the failure detector";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.kill-dn";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "DatanodeManager";
-    op.target_prefix = "dnode";
-    op.weight = 3;
-    op.min_time_ms = 3000;
-    op.max_time_ms = 10000;
-    op.note = "fail-stop a DN mid-write; exercises dead-node removal";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "hdfs.kill-namenode";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "FSNamesystem";
-    op.target_prefix = "namenode";
-    op.weight = 1;
-    op.min_time_ms = 5000;
-    op.max_time_ms = 9000;
-    op.note = "fail-stop a NameNode; the standby promotes and replays edits";
-    model.AddGrammarOp(op);
-  }
   return artifacts;
 }
 

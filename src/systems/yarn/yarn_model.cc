@@ -680,96 +680,6 @@ void BuildSpans(YarnArtifacts* artifacts) {
                  "NodesListManager"});
 }
 
-// Workload-fuzzing grammar: the ops the coverage-guided generator may splice
-// into a run. RPC ops name their declared handler method (the wire verb is
-// the runtime registration); node ops name the class whose recovery logic
-// the fault exercises — both are checked by ctlint's
-// grammar-op-unknown-target.
-void BuildGrammar(ProgramModel* model) {
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.submit-app";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "ClientRMService.submitApplication";
-    op.rpc_verb = "submitApplication";
-    op.target_prefix = "master";
-    op.args = {{"tasks", "%MAG%"}};
-    op.max_magnitude = 3;
-    op.weight = 2;
-    op.min_time_ms = 1000;
-    op.max_time_ms = 9000;
-    op.note = "a second application competing for the same node set";
-    model->AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.cluster-status";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "ClientRMService.getClusterStatus";
-    op.rpc_verb = "getClusterStatus";
-    op.target_prefix = "master";
-    op.weight = 2;
-    op.min_time_ms = 500;
-    op.max_time_ms = 15000;
-    op.note = "status read racing node-map mutations";
-    model->AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.node-report";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "NodeListManager.getNodeReport";
-    op.rpc_verb = "getNodeReport";
-    op.target_prefix = "master";
-    op.args = {{"node", "%NODE%"}};
-    op.arg_prefix = "node";
-    op.weight = 2;
-    op.min_time_ms = 500;
-    op.max_time_ms = 15000;
-    op.note = "node-list lookup against a possibly removed NM";
-    model->AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.decommission-worker";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "NodesListManager.handleNodeLost";
-    op.rpc_verb = "unregisterNode";
-    op.target_prefix = "master";
-    op.args = {{"node", "%NODE%"}};
-    op.arg_prefix = "node";
-    op.weight = 2;
-    op.min_time_ms = 2000;
-    op.max_time_ms = 12000;
-    op.note = "administrative decommission through the failure detector";
-    model->AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.kill-worker";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "NodesListManager";
-    op.target_prefix = "node";
-    op.weight = 3;
-    op.min_time_ms = 2000;
-    op.max_time_ms = 12000;
-    op.note = "fail-stop an NM mid-job; exercises node-lost recovery";
-    model->AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "yarn.stop-worker";
-    op.kind = ctmodel::GrammarOpKind::kShutdown;
-    op.target_class = "NodesListManager";
-    op.target_prefix = "node";
-    op.weight = 2;
-    op.min_time_ms = 2000;
-    op.max_time_ms = 12000;
-    op.note = "graceful NM stop; heartbeats cease without a crash record";
-    model->AddGrammarOp(op);
-  }
-}
-
 YarnArtifacts* BuildArtifacts(YarnMode mode) {
   auto* artifacts = new YarnArtifacts();
   artifacts->mode = mode;
@@ -785,7 +695,6 @@ YarnArtifacts* BuildArtifacts(YarnMode mode) {
   BuildMultiCrashPairs(artifacts);
   BuildNetworkFaultWindows(artifacts);
   BuildSpans(artifacts);
-  BuildGrammar(&artifacts->model);
   return artifacts;
 }
 

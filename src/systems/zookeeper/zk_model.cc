@@ -221,79 +221,6 @@ ZkArtifacts* Build() {
   // `ctstat --top` attributes virtual-time dwell to.
   model.AddSpan({"quorum-broadcast", "QuorumPeer.broadcastHeartbeats",
                  "one peer-heartbeat fan-out round across the quorum", "QuorumPeer"});
-
-  // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
-  // the class whose recovery logic the fault exercises (ctlint's
-  // grammar-op-unknown-target keeps both honest).
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "zk.create";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "PrepRequestProcessor.pRequest";
-    op.rpc_verb = "create";
-    op.target_prefix = "zkpeer";
-    op.args = {{"path", "/fuzz/node-%MAG%"}, {"data", "fz"}};
-    op.max_magnitude = 4;
-    op.weight = 3;
-    op.min_time_ms = 1000;
-    op.max_time_ms = 8000;
-    op.note = "create sent to an arbitrary peer; followers forward to the leader";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "zk.get";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "DataTree.getData";
-    op.rpc_verb = "get";
-    op.target_prefix = "zkpeer";
-    op.args = {{"path", "/fuzz/node-%MAG%"}};
-    op.max_magnitude = 4;
-    op.weight = 2;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 9000;
-    op.note = "read against a replica that may not have replicated yet";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "zk.sync-read";
-    op.kind = ctmodel::GrammarOpKind::kRpc;
-    op.target_method = "FinalRequestProcessor.processRequest";
-    op.rpc_verb = "sync";
-    op.target_prefix = "zkpeer";
-    op.args = {{"path", "/fuzz/node-%MAG%"}};
-    op.max_magnitude = 4;
-    op.weight = 2;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 9000;
-    op.note = "sync'd read through the full request-processor chain";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "zk.kill-peer";
-    op.kind = ctmodel::GrammarOpKind::kCrash;
-    op.target_class = "QuorumPeer";
-    op.target_prefix = "zkpeer";
-    op.weight = 3;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 7000;
-    op.note = "fail-stop a peer; leader churn when the ordinal hits the leader";
-    model.AddGrammarOp(op);
-  }
-  {
-    ctmodel::GrammarOpDecl op;
-    op.name = "zk.stop-peer";
-    op.kind = ctmodel::GrammarOpKind::kShutdown;
-    op.target_class = "QuorumPeer";
-    op.target_prefix = "zkpeer";
-    op.weight = 1;
-    op.min_time_ms = 1500;
-    op.max_time_ms = 7000;
-    op.note = "graceful peer stop; heartbeats cease without a crash record";
-    model.AddGrammarOp(op);
-  }
   return artifacts;
 }
 

@@ -62,7 +62,6 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
   });
   Handle("create", [this](const Message& m) { CreateRequest(m); });
   Handle("get", [this](const Message& m) { GetRequest(m); });
-  Handle("sync", [this](const Message& m) { SyncRequest(m); });
   Handle("propose", [this](const Message& m) {
     // Follower applies the replicated create and appends its txn log.
     CT_FRAME("SyncRequestProcessor.run");
@@ -183,14 +182,6 @@ void ZkPeer::ApplyCreate(const std::string& path, const std::string& data) {
   znodes_[path] = data;
   CT_POST_WRITE(artifacts_->points.znode_create_write, path);
   log().Log(artifacts_->stmts.znode_created, {path, id()});
-}
-
-void ZkPeer::SyncRequest(const Message& m) {
-  // sync + read (the fuzz grammar's sync-read op): the read runs under the
-  // final request processor rather than straight off the client connection,
-  // so the znode lookup fires in the processor-chain context.
-  CT_FRAME("FinalRequestProcessor.processRequest");
-  GetRequest(m);
 }
 
 void ZkPeer::GetRequest(const Message& m) {

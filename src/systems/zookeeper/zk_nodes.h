@@ -49,7 +49,6 @@ class ZkPeer : public ctsim::Node {
  private:
   void CreateRequest(const ctsim::Message& m);
   void GetRequest(const ctsim::Message& m);
-  void SyncRequest(const ctsim::Message& m);
   void ApplyCreate(const std::string& path, const std::string& data);
   void PeerLost(const std::string& peer);
 

@@ -2,6 +2,8 @@
 // the headline determinism guarantee — the full driver on mini-YARN produces
 // a field-for-field identical SystemReport at jobs=1 and jobs=4.
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -70,29 +72,43 @@ TEST(CampaignEngine, MapRethrowsTaskException) {
                std::runtime_error);
 }
 
-TEST(CampaignEngine, WorkersPersistAcrossMaps) {
-  // The fuzzer maps many small batches through one engine: every Map after
-  // the first must reuse the same threads (the caller plus jobs - 1
-  // workers), and each Map still returns its own results in index order.
+// Counts helper threads that have run to completion: the destructor of a
+// thread_local instance runs as its thread exits.
+std::atomic<int> helper_exits{0};
+struct HelperExitCounter {
+  ~HelperExitCounter() { helper_exits.fetch_add(1); }
+};
+
+TEST(CampaignEngine, MapStartsOnlyTheThreadsItNeedsAndJoinsThem) {
+  // Two tasks at jobs=4 run on at most two threads, and every helper thread
+  // has exited by the time Map returns.
   ctcore::CampaignEngine engine(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const int exits_before = helper_exits.load();
   std::mutex mu;
   std::set<std::thread::id> threads;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> out = engine.Map(8, [&](int i) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        threads.insert(std::this_thread::get_id());
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      return round * 100 + i;
-    });
-    ASSERT_EQ(out.size(), 8u);
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(out[static_cast<size_t>(i)], round * 100 + i);
+  std::atomic<int> started{0};
+  engine.Map(2, [&](int i) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
     }
-  }
-  EXPECT_GT(threads.size(), 1u);
-  EXPECT_LE(threads.size(), 4u);
+    if (std::this_thread::get_id() != caller) {
+      thread_local HelperExitCounter counter;
+    }
+    // Hold each task until both have started (or 2 s pass), so the second
+    // task runs on a helper rather than after the first on the caller.
+    started.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return i;
+  });
+  EXPECT_LE(threads.size(), 2u);
+  const int helpers = static_cast<int>(threads.size() - threads.count(caller));
+  EXPECT_GE(helpers, 1);
+  EXPECT_EQ(helper_exits.load() - exits_before, helpers);
 }
 
 TEST(CampaignEngine, MapAfterAFailedMapRunsEveryTask) {

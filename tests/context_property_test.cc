@@ -1,4 +1,4 @@
-// Property/fuzz tests for the bounded context enumeration over random call
+// Property tests for the bounded context enumeration over random call
 // graphs (seeded, deterministic). For each random shape and every depth the
 // invariants are:
 //   - depth bound respected, and every key is a real backward walk: each
@@ -10,14 +10,8 @@
 //     equals enumerate-then-filter through IsFeasibleKey;
 //   - EnumerateAll agrees with EnumerateMethod on every reachable anchor and
 //     accounts every string pruning removed.
-// The last suite ties the enumeration to the fuzzer: on every shipped system
-// a fixed-budget fuzz campaign's coverage is a *strict* superset of the fixed
-// script's profiled pairs, and every fuzz-only pair is inside the static
-// enumeration — Definition 1 soundness extends to workloads the script never
-// runs.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,14 +19,7 @@
 #include "src/analysis/call_graph.h"
 #include "src/analysis/context_enumeration.h"
 #include "src/common/rng.h"
-#include "src/core/crashtuner.h"
-#include "src/fuzz/fuzz_phase.h"
 #include "src/model/program_model.h"
-#include "src/systems/cassandra/cass_system.h"
-#include "src/systems/hbase/hbase_system.h"
-#include "src/systems/hdfs/hdfs_system.h"
-#include "src/systems/yarn/yarn_system.h"
-#include "src/systems/zookeeper/zk_system.h"
 
 namespace {
 
@@ -212,55 +199,5 @@ TEST_P(ContextEnumerationProperty, EnumerateAllMatchesPerAnchorAndAccounting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContextEnumerationProperty, ::testing::Range(1, 26));
-
-// --- Fuzz coverage vs the static enumeration ---------------------------------
-
-TEST(FuzzCoverageProperty, FuzzPairsStrictlyExtendTheScriptWithinTheStaticSet) {
-  std::vector<std::unique_ptr<ctcore::SystemUnderTest>> systems;
-  systems.push_back(std::make_unique<ctyarn::YarnSystem>());
-  systems.push_back(std::make_unique<cthdfs::HdfsSystem>());
-  systems.push_back(std::make_unique<cthbase::HBaseSystem>());
-  systems.push_back(std::make_unique<ctzk::ZkSystem>());
-  systems.push_back(std::make_unique<ctcass::CassSystem>());
-
-  for (const auto& system : systems) {
-    ctcore::SystemReport report = ctcore::CrashTunerDriver().Run(*system);
-    const std::set<ctrt::DynamicPoint> script_pairs = report.profile.dynamic_access_points;
-
-    ctfuzz::FuzzPhaseOptions options;
-    options.runs = 48;
-    ctfuzz::FuzzResult result = ctfuzz::RunFuzzPhase(*system, &report, options);
-
-    // Superset: the script's profiled pairs seed the coverage map, so none
-    // may be lost; strictness: the budget must reach at least one pair the
-    // fixed script cannot produce.
-    for (const ctrt::DynamicPoint& pair : script_pairs) {
-      EXPECT_TRUE(result.coverage.Contains({/*io=*/false, pair}))
-          << system->name() << " lost scripted pair p" << pair.point_id;
-    }
-    ASSERT_FALSE(result.new_keys.empty())
-        << system->name() << ": fuzzing discovered nothing beyond the fixed script";
-
-    // Containment: every fuzz-only pair is a call string the bounded static
-    // enumeration already predicts for that point (Definition 1 soundness,
-    // now exercised off-script).
-    CallGraph graph(system->model());
-    ContextEnumeration enumeration(&graph);
-    StaticContextResult enumerated =
-        enumeration.EnumerateAll(/*depth=*/5, /*prune_infeasible=*/true);
-    for (const ctfuzz::CoverageKey& key : result.new_keys) {
-      if (key.io) {
-        continue;  // io points have no call-string enumeration
-      }
-      auto it = enumerated.contexts_by_point.find(key.point.point_id);
-      ASSERT_NE(it, enumerated.contexts_by_point.end())
-          << system->name() << " fuzz-only pair at unenumerated point p"
-          << key.point.point_id;
-      EXPECT_EQ(it->second.count(key.point.stack_key), 1u)
-          << system->name() << " fuzz-only pair p" << key.point.point_id << " key=["
-          << key.point.stack_key << "] is outside the static enumeration";
-    }
-  }
-}
 
 }  // namespace

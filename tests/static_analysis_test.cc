@@ -393,69 +393,16 @@ TEST(ModelLint, FlagsDeclsEmbeddingConcreteNodeIndices) {
   EXPECT_EQ(LintModel(clean).CountOf("scale-invariant-decl"), 0);
 }
 
-TEST(ModelLint, FlagsGrammarOpsWithUnknownTargets) {
-  // Synthetic offenders: grammar ops pointing at nothing the model declares
-  // would generate messages no node handles (or kills of no role), quietly
-  // starving every fuzz campaign of that op's coverage.
-  ProgramModel model = TinyModel();
-
-  ctmodel::GrammarOpDecl good;
-  good.name = "tiny.rpc";
-  good.kind = ctmodel::GrammarOpKind::kRpc;
-  good.target_method = "Server.rpc";
-  good.target_prefix = "srv";
-  model.AddGrammarOp(good);
-
-  ctmodel::GrammarOpDecl bad_method = good;
-  bad_method.name = "tiny.ghost-rpc";
-  bad_method.target_method = "Server.removedRpc";  // never declared
-  model.AddGrammarOp(bad_method);
-
-  ctmodel::GrammarOpDecl bad_class = good;
-  bad_class.name = "tiny.kill";
-  bad_class.kind = ctmodel::GrammarOpKind::kCrash;
-  bad_class.target_class = "Ghost";  // declares no methods
-  model.AddGrammarOp(bad_class);
-
-  ctmodel::GrammarOpDecl malformed = good;
-  malformed.name = "tiny.rpc";  // duplicate name
-  malformed.target_prefix = "";  // nothing to draw a victim from
-  malformed.weight = 0;          // never drawable
-  malformed.min_time_ms = 5000;  // empty firing window
-  malformed.max_time_ms = 5000;
-  model.AddGrammarOp(malformed);
-
-  LintResult result = LintModel(model);
-  EXPECT_EQ(result.CountOf("grammar-op-unknown-target"), 6);
-
-  // A model with only the well-formed op stays clean.
-  ProgramModel clean = TinyModel();
-  clean.AddGrammarOp(good);
-  EXPECT_EQ(LintModel(clean).CountOf("grammar-op-unknown-target"), 0);
-}
-
-TEST(ModelLint, FlagsPhantomComponentsAndUnspannedKilledRoles) {
-  // Synthetic offenders for the two directions of component grounding: a span
-  // charging dwell to a class that declares no methods, and a fuzz kill op for
-  // a role no component span covers (its recovery sweeps would be invisible
-  // to ctstat --top).
+TEST(ModelLint, FlagsSpanComponentsThatNameNoDeclaredClass) {
+  // Synthetic offender: a span charging dwell to a class that declares no
+  // methods, a role that can never appear on a stack.
   ProgramModel model = TinyModel();
   model.AddSpan({"ghost-sweep", "Server.rpc", "component names nothing", "Ghost"});
+  EXPECT_EQ(LintModel(model).CountOf("component-without-span"), 1);
 
-  ctmodel::GrammarOpDecl kill;
-  kill.name = "tiny.kill-server";
-  kill.kind = ctmodel::GrammarOpKind::kCrash;
-  kill.target_class = "Server";
-  kill.target_prefix = "srv";
-  model.AddGrammarOp(kill);
-
-  LintResult result = LintModel(model);
-  EXPECT_EQ(result.CountOf("component-without-span"), 2);
-
-  // Once a span names the killed role's declared class, both findings clear.
+  // Once the span names a declared class, the finding clears.
   ProgramModel clean = TinyModel();
-  clean.AddSpan({"server-sweep", "Server.rpc", "covers the killed role", "Server"});
-  clean.AddGrammarOp(kill);
+  clean.AddSpan({"server-sweep", "Server.rpc", "covers a declared role", "Server"});
   EXPECT_EQ(LintModel(clean).CountOf("component-without-span"), 0);
 }
 

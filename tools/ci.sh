@@ -105,16 +105,6 @@ echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sw
 # hardware detection reports (and =0 to silence it on a loaded box).
 ./build/bench/bench_scale --json build/BENCH_scale.json 1 2 8 | tail -n 14
 
-echo "== stage 4g: fuzz smoke (coverage-guided grammar fuzzing, jobs=1 vs jobs=4) =="
-# Short fuzz campaign per system: every system must discover at least one
-# ⟨access point, call string⟩ pair the fixed workload script never produces,
-# the corpus and trace hash must agree between jobs=1 and jobs=4 (the full
-# byte-identity contract is fuzz_property_test in stage 2), and on >= 4
-# hardware threads jobs=4 must be >= 2x faster (median of interleaved
-# sweeps). Corpus size, new-coverage count, runs/sec and the speedup spread
-# land in BENCH_fuzz.json.
-./build/bench/bench_fuzz --json build/BENCH_fuzz.json | tail -n 12
-
 echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
 # Scale-8 ZooKeeper campaign twice — observation off, then spans + causal
 # flows + dossiers on — asserting report passivity, >= 50% of virtual time

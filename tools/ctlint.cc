@@ -49,12 +49,12 @@ int LintOne(const ctmodel::ProgramModel& model, bool summary) {
     std::printf("  methods=%d edges=%d(resolved %d) reachable=%zu "
                 "contexts@5=%d unreachable-points=%zu "
                 "feasible@5=%d cs-pruned=%d multi-crash-pairs=%d net-windows=%d "
-                "grammar-ops=%d component-spans=%d\n",
+                "component-spans=%d\n",
                 model.NumMethods(), model.NumCallEdges(), graph.num_resolved_edges(),
                 graph.reachable().size(), contexts.TotalContexts(),
                 contexts.unreachable_points.size(), feasible.TotalContexts(),
                 feasible.pruned_call_strings, model.NumMultiCrashPairs(),
-                model.NumNetworkFaultWindows(), model.NumGrammarOps(), component_spans);
+                model.NumNetworkFaultWindows(), component_spans);
   }
   return result.ok() ? 0 : 1;
 }
